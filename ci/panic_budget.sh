@@ -31,7 +31,7 @@ proptest_compat 2
 psimc 26
 psir 105
 rand_compat 0
-serve 82
+serve 79
 shapecheck 9
 suite 19
 telemetry 18

@@ -106,6 +106,7 @@ fn main() {
     let mut show_cycles = false;
     let mut remarks_mode: Option<String> = None;
     let mut popts = PipelineOptions::default();
+    let mut target = Target::reference_default();
 
     let parse_verify = |s: &str| {
         VerifyMode::parse(s).unwrap_or_else(|| {
@@ -207,10 +208,10 @@ fn main() {
                     );
                     std::process::exit(2);
                 });
-                popts.target = parse_target(&v);
+                target = parse_target(&v);
             }
             flag if flag.starts_with("--target=") => {
-                popts.target = parse_target(&flag["--target=".len()..]);
+                target = parse_target(&flag["--target=".len()..]);
             }
             "-j" | "--jobs" => {
                 i += 1;
@@ -285,7 +286,7 @@ fn main() {
 
     if let Some((entry, raw_args)) = run {
         static EXT: RuntimeExterns = RuntimeExterns::new();
-        let cost = TargetCost::for_target(popts.target.clone());
+        let cost = TargetCost::for_target(target);
         let mut mem = Memory::default();
         let mut call_args = Vec::new();
         let mut bufs: Vec<(u64, u64)> = Vec::new();

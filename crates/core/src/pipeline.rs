@@ -103,15 +103,6 @@ pub struct PipelineOptions {
     /// least 1 and at most the region count; `1` is the serial path (no
     /// threads spawned). The [`Default`] impl uses [`default_jobs`].
     pub jobs: usize,
-    /// The machine the compiled module will be *costed* against. An
-    /// explicit, required field: compilation itself is target-independent
-    /// (gang size and emitted module text never depend on it — the
-    /// `target-contract` CI job machine-checks that), but every downstream
-    /// consumer prices execution against exactly this machine, so no pass
-    /// or runner can accidentally cost against the wrong one. The
-    /// [`Default`] impl delegates to the one documented defaulting site,
-    /// [`vmach::Target::reference_default`].
-    pub target: vmach::Target,
 }
 
 impl Default for PipelineOptions {
@@ -120,7 +111,6 @@ impl Default for PipelineOptions {
             verify: VerifyMode::Fallback,
             inject: FaultInjector::from_env(),
             jobs: default_jobs(),
-            target: vmach::Target::reference_default(),
         }
     }
 }
@@ -129,12 +119,6 @@ impl PipelineOptions {
     /// Returns the options with the worker count replaced.
     pub fn with_jobs(mut self, jobs: usize) -> PipelineOptions {
         self.jobs = jobs;
-        self
-    }
-
-    /// Returns the options with the costing target replaced.
-    pub fn with_target(mut self, target: vmach::Target) -> PipelineOptions {
-        self.target = target;
         self
     }
 }

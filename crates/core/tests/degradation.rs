@@ -189,7 +189,6 @@ fn strict_mode_is_a_hard_error() {
             verify: VerifyMode::Strict,
             inject: None,
             jobs: 1,
-            ..PipelineOptions::default()
         },
     )
     .unwrap_err();
@@ -210,7 +209,6 @@ fn verify_off_still_degrades() {
             verify: VerifyMode::Off,
             inject: None,
             jobs: 1,
-            ..PipelineOptions::default()
         },
     )
     .expect("degrades with verification off");

@@ -127,7 +127,6 @@ fn sweep_every_registered_site() {
                 verify: VerifyMode::Fallback,
                 inject: Some(inj),
                 jobs: 1,
-                ..PipelineOptions::default()
             },
         )
         .unwrap_or_else(|e| panic!("{spec}: module must degrade, got Err({e})"));
@@ -172,7 +171,6 @@ fn injected_panics_are_attributed_to_their_pass() {
                 verify: VerifyMode::Strict,
                 inject: Some(FaultInjector::parse(&spec).unwrap()),
                 jobs: 1,
-                ..PipelineOptions::default()
             },
         )
         .unwrap_err();
@@ -202,7 +200,6 @@ fn corrupt_site_is_caught_by_the_verifier() {
             verify: VerifyMode::Strict,
             inject: Some(inj.clone()),
             jobs: 1,
-            ..PipelineOptions::default()
         },
     )
     .unwrap_err();
@@ -217,7 +214,6 @@ fn corrupt_site_is_caught_by_the_verifier() {
             verify: VerifyMode::Off,
             inject: Some(inj),
             jobs: 1,
-            ..PipelineOptions::default()
         },
     )
     .expect("no verification, no corruption");

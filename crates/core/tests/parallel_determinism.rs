@@ -120,7 +120,6 @@ fn parallel_output_is_byte_identical_to_serial() {
         verify: VerifyMode::Fallback,
         inject: None,
         jobs: 1,
-        ..PipelineOptions::default()
     };
     let serial = run_at(&m, &opts, &base, 1).expect("serial run succeeds");
     assert_eq!(serial.vectorized.len(), 13);
@@ -158,7 +157,6 @@ fn mixed_degradation_is_deterministic_across_jobs() {
         verify: VerifyMode::Fallback,
         inject: None,
         jobs: 1,
-        ..PipelineOptions::default()
     };
     let serial = run_at(&m, &opts, &base, 1).expect("serial run succeeds");
     assert_eq!(serial.degraded.len(), 4, "opaque-call regions degrade");
@@ -183,7 +181,6 @@ fn fault_injection_fires_identically_on_every_worker_count() {
             verify: VerifyMode::Fallback,
             inject: Some(FaultInjector::parse(&spec).expect("registered site")),
             jobs: 1,
-            ..PipelineOptions::default()
         };
         let serial = run_at(&m, &opts, &base, 1).expect("degrades, never errors");
         assert!(
@@ -211,7 +208,6 @@ fn strict_mode_reports_the_same_first_error_at_every_worker_count() {
             verify: VerifyMode::Strict,
             inject: Some(FaultInjector::parse(&spec).expect("registered site")),
             jobs: 1,
-            ..PipelineOptions::default()
         };
         let serial_err = run_at(&m, &opts, &base, 1).expect_err("strict + injection must fail");
         for jobs in [2, 4, 8] {
@@ -232,7 +228,6 @@ fn job_count_is_clamped_to_region_count() {
         verify: VerifyMode::Fallback,
         inject: None,
         jobs: 1,
-        ..PipelineOptions::default()
     };
     let out = run_at(&m, &opts, &base, 64).expect("runs");
     assert_eq!(out.timings.jobs, 2, "jobs clamp to the region count");

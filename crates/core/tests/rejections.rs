@@ -78,7 +78,6 @@ fn gang_sync_mode_rejects_scalar_calls() {
             verify: parsimony::VerifyMode::Strict,
             inject: None,
             jobs: 1,
-            ..parsimony::PipelineOptions::default()
         },
     )
     .unwrap_err();

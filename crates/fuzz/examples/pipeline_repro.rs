@@ -9,7 +9,6 @@ fn main() {
         verify: parsimony::VerifyMode::Strict,
         inject: None,
         jobs: 1,
-        ..parsimony::PipelineOptions::default()
     };
     match parsimony::vectorize_module_with(&module, &parsimony::VectorizeOptions::default(), &popts)
     {

@@ -389,7 +389,6 @@ pub fn run_case(case: &TestCase, opts: &OracleOptions) -> Verdict {
         verify: VerifyMode::Fallback,
         inject: opts.inject.clone(),
         jobs: opts.jobs,
-        target: Target::reference_default(),
     };
     let out = match vectorize_module_with(&module, &VectorizeOptions::default(), &popts) {
         Ok(o) => o,
@@ -429,7 +428,6 @@ pub fn run_case(case: &TestCase, opts: &OracleOptions) -> Verdict {
             verify: VerifyMode::Fallback,
             inject: Some(FaultInjector::parse("vectorize:panic").expect("registered site")),
             jobs: opts.jobs,
-            target: Target::reference_default(),
         };
         let out = match vectorize_module_with(&module, &VectorizeOptions::default(), &popts) {
             Ok(o) => o,

@@ -27,7 +27,6 @@ fn vectorized_ir_identical_across_jobs() {
                 verify: parsimony::VerifyMode::Fallback,
                 inject: None,
                 jobs,
-                ..parsimony::PipelineOptions::default()
             };
             let out = parsimony::vectorize_module_with(
                 &module,

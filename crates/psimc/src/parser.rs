@@ -21,9 +21,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of statements, expressions and prefix operators the
+/// parser accepts. It bounds the recursion of the parser and of every
+/// later pass that walks the tree, so hostile input gets a located error
+/// instead of a stack overflow. C11 (§5.2.4.1) asks compilers for 63
+/// levels of parentheses; at 64 levels an unoptimized build still compiles
+/// and serves a source on a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
     i: usize,
+    /// Statements, expressions and prefix operators currently open.
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
@@ -50,6 +60,18 @@ impl Parser {
             pos: self.pos(),
             msg: msg.into(),
         })
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let r = parse(self);
+        self.depth -= 1;
+        r
     }
 
     fn eat_punct(&mut self, p: &str) -> PResult<()> {
@@ -167,7 +189,7 @@ impl Parser {
                 let save = self.i;
                 if let Some(ty) = self.try_ty() {
                     if self.try_punct(")") {
-                        let e = self.unary()?;
+                        let e = self.nested(Self::unary)?;
                         return Ok(Expr::Cast(ty, Box::new(e), pos));
                     }
                     self.i = save;
@@ -197,16 +219,20 @@ impl Parser {
     fn unary(&mut self) -> PResult<Expr> {
         let pos = self.pos();
         if self.try_punct("-") {
-            return Ok(Expr::Un(UnOpKind::Neg, Box::new(self.unary()?), pos));
+            let e = self.nested(Self::unary)?;
+            return Ok(Expr::Un(UnOpKind::Neg, Box::new(e), pos));
         }
         if self.try_punct("!") {
-            return Ok(Expr::Un(UnOpKind::Not, Box::new(self.unary()?), pos));
+            let e = self.nested(Self::unary)?;
+            return Ok(Expr::Un(UnOpKind::Not, Box::new(e), pos));
         }
         if self.try_punct("~") {
-            return Ok(Expr::Un(UnOpKind::BitNot, Box::new(self.unary()?), pos));
+            let e = self.nested(Self::unary)?;
+            return Ok(Expr::Un(UnOpKind::BitNot, Box::new(e), pos));
         }
         if self.try_punct("*") {
-            return Ok(Expr::Deref(Box::new(self.unary()?), pos));
+            let e = self.nested(Self::unary)?;
+            return Ok(Expr::Deref(Box::new(e), pos));
         }
         self.postfix()
     }
@@ -256,6 +282,10 @@ impl Parser {
     }
 
     fn expr(&mut self) -> PResult<Expr> {
+        self.nested(Self::ternary)
+    }
+
+    fn ternary(&mut self) -> PResult<Expr> {
         let pos = self.pos();
         let c = self.binary(0)?;
         if self.try_punct("?") {
@@ -355,6 +385,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> PResult<Stmt> {
         let pos = self.pos();
         if self.try_keyword("if") {
             self.eat_punct("(")?;
@@ -493,7 +527,12 @@ pub fn parse(src: &str) -> PResult<Unit> {
         pos: e.pos,
         msg: e.msg,
     })?;
-    Parser { toks, i: 0 }.unit()
+    Parser {
+        toks,
+        i: 0,
+        depth: 0,
+    }
+    .unit()
 }
 
 #[cfg(test)]
@@ -567,6 +606,36 @@ mod tests {
     fn error_on_non_literal_gang() {
         let err = parse("void f(i64 n) { psim gang(n) threads(n) { } }").unwrap_err();
         assert!(err.msg.contains("gang size"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_located_error() {
+        // Function body statement (1), return value (2), parentheses.
+        let parens =
+            |d: usize| format!("i32 f() {{ return {}1{}; }}", "(".repeat(d), ")".repeat(d));
+        assert!(parse(&parens(MAX_NESTING - 2)).is_ok());
+        let err = parse(&parens(MAX_NESTING - 1)).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Located at the first token past the cap: the innermost `1`.
+        assert_eq!(
+            (err.pos.line, err.pos.col as usize),
+            (1, 18 + MAX_NESTING - 1)
+        );
+        // Prefix operators, casts and statements count the same way, and
+        // far past the cap the parser still returns instead of overflowing.
+        for src in [
+            parens(100_000),
+            format!("i32 f() {{ return {}1; }}", "- ".repeat(100_000)),
+            format!("f32 f() {{ return {}1.0; }}", "(f32) ".repeat(100_000)),
+            format!("void f() {{ {} }}", "{".repeat(100_000)),
+            format!(
+                "void f(i32 x) {{ if (x) {{}} {} }}",
+                "else if (x) {} ".repeat(100_000)
+            ),
+        ] {
+            let err = parse(&src).unwrap_err();
+            assert!(err.msg.contains("nesting"), "{err}");
+        }
     }
 
     #[test]

@@ -82,6 +82,37 @@ pub(crate) struct NativePlan {
     pub blocks: Vec<NBlock>,
 }
 
+impl NativePlan {
+    /// Approximate heap footprint in bytes, charged to the
+    /// [`PlanCache`](crate::PlanCache) budget alongside the frame plan it
+    /// lowers. An estimate in the same spirit as
+    /// [`FramePlan::approx_bytes`]: monotone in plan size.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let mut b = std::mem::size_of::<NativePlan>();
+        b += self.reg_of.capacity() * std::mem::size_of::<u32>();
+        for blk in &self.blocks {
+            b += std::mem::size_of::<NBlock>();
+            b += blk.phis.capacity() * std::mem::size_of::<InstId>();
+            b += blk.classed.capacity() * std::mem::size_of::<(CostClass, u64)>();
+            b += (blk.phi_costs.capacity() + blk.op_costs.capacity())
+                * std::mem::size_of::<(u64, u64)>();
+            for e in &blk.edges {
+                b += std::mem::size_of::<NEdge>();
+                b += e.moves.capacity() * std::mem::size_of::<(u32, NSrc)>();
+            }
+            b += blk.ops.capacity() * std::mem::size_of::<NOp>();
+            for op in &blk.ops {
+                match op {
+                    NOp::ConstV { lanes, .. } => b += lanes.capacity() * 8,
+                    NOp::ShufC { pattern, .. } => b += pattern.capacity() * 4,
+                    _ => {}
+                }
+            }
+        }
+        b
+    }
+}
+
 fn cost_pair(pc: &PlannedCost) -> (u64, u64) {
     (pc.total, pc.classed.iter().map(|&(_, cy)| cy).sum())
 }

@@ -87,13 +87,22 @@ impl<'a> Interp<'a> {
     /// The cached native plan for `f`, lowering it on first use. The plan
     /// lives on the [`FramePlan`] itself, so it is built once per frame
     /// plan and shared wherever the frame plan is — across this
-    /// interpreter's calls, and across interpreters when the frame plan
-    /// comes from the shared [`PlanCache`](super::PlanCache).
-    fn native_plan_for(&mut self, f: &Function, plan: &FramePlan) -> Arc<NativePlan> {
-        Arc::clone(
-            plan.native
-                .get_or_init(|| Arc::new(NativePlan::build(f, plan))),
-        )
+    /// interpreter's calls, and across interpreters and engines when the
+    /// frame plan comes from the shared [`PlanCache`](super::PlanCache),
+    /// whose byte budget the lowering is charged to.
+    fn native_plan_for(&mut self, f: &Function, plan: &Arc<FramePlan>) -> Arc<NativePlan> {
+        let mut built = 0;
+        let np = Arc::clone(plan.native.get_or_init(|| {
+            let np = NativePlan::build(f, plan);
+            built = np.approx_bytes();
+            Arc::new(np)
+        }));
+        if built > 0 {
+            if let Some((cache, module_id)) = &self.shared_plans {
+                cache.charge(*module_id, &f.name, plan, built);
+            }
+        }
+        np
     }
 
     fn run_native(

@@ -40,7 +40,8 @@ pub struct PlanCacheStats {
     pub evictions: u64,
     /// Plans currently cached.
     pub entries: u64,
-    /// Approximate bytes currently cached (see [`FramePlan::approx_bytes`]).
+    /// Approximate bytes currently cached: [`FramePlan::approx_bytes`] of
+    /// every plan, plus the native lowerings built from them.
     pub bytes: u64,
 }
 
@@ -142,12 +143,34 @@ impl PlanCache {
                 tick,
             },
         );
-        // Evict LRU entries (never the one just inserted) until we fit.
+        self.evict_to_fit(&mut inner, &key);
+        plan
+    }
+
+    /// Charges `bytes` more to the entry for `(module_id, fname)` while it
+    /// still holds `plan` — the native lowering, built lazily after the
+    /// plan was inserted — and evicts LRU entries until the budget is met.
+    /// A plan that was already evicted is not charged: the cache no longer
+    /// holds it.
+    pub(crate) fn charge(&self, module_id: u64, fname: &str, plan: &Arc<FramePlan>, bytes: usize) {
+        let mut inner = self.lock();
+        let key = (module_id, fname.to_string());
+        match inner.map.get_mut(&key) {
+            Some(e) if Arc::ptr_eq(&e.plan, plan) => e.bytes += bytes,
+            _ => return,
+        }
+        inner.bytes += bytes;
+        self.evict_to_fit(&mut inner, &key);
+    }
+
+    /// Evicts LRU entries (never `keep`, the one just inserted or
+    /// charged) until the cache fits its budget.
+    fn evict_to_fit(&self, inner: &mut Inner, keep: &Key) {
         while inner.bytes > self.budget && inner.map.len() > 1 {
             let victim = inner
                 .map
                 .iter()
-                .filter(|(k, _)| **k != key)
+                .filter(|(k, _)| *k != keep)
                 .min_by_key(|(_, e)| e.tick)
                 .map(|(k, _)| k.clone());
             let Some(v) = victim else { break };
@@ -156,7 +179,6 @@ impl PlanCache {
                 inner.evictions += 1;
             }
         }
-        plan
     }
 
     /// Current counters.
@@ -293,6 +315,48 @@ mod tests {
         assert_eq!(s.entries, 1);
         assert_eq!(s.evictions, 1);
         assert!(cache.get(2, "f").is_some());
+    }
+
+    fn call(m: &Module, cache: &Arc<PlanCache>, module_id: u64, engine: crate::Engine) {
+        let mut it = crate::Interp::with_defaults(m, crate::Memory::default());
+        it.set_plan_cache(Arc::clone(cache), module_id);
+        it.set_engine(engine);
+        assert!(it.call("f", &[]).is_ok());
+    }
+
+    #[test]
+    fn native_lowering_is_charged_to_the_budget() {
+        use crate::Engine;
+        let m = tiny_module("f");
+        let cache = Arc::new(PlanCache::new(1 << 20));
+        call(&m, &cache, 1, Engine::Fast);
+        let plan = cache.get(1, "f");
+        let bare = plan.as_ref().map_or(0, |p| p.approx_bytes());
+        assert!(bare > 0, "plan cached");
+        assert_eq!(cache.stats().bytes as usize, bare);
+        call(&m, &cache, 1, Engine::Native);
+        let lowered = plan
+            .as_ref()
+            .and_then(|p| p.native.get())
+            .map_or(0, |np| np.approx_bytes());
+        assert!(lowered > 0, "lowered in place");
+        assert_eq!(cache.stats().bytes as usize, bare + lowered);
+        // The lowering is built, and charged, once.
+        call(&m, &cache, 1, Engine::Native);
+        assert_eq!(cache.stats().bytes as usize, bare + lowered);
+
+        // Room for two bare plans, not for two plans and a lowering: the
+        // charge evicts the LRU plan, never the one it lands on.
+        let tight = Arc::new(PlanCache::new(bare * 2 + lowered / 2));
+        call(&m, &tight, 1, Engine::Fast);
+        call(&m, &tight, 2, Engine::Fast);
+        assert_eq!(tight.stats().evictions, 0);
+        call(&m, &tight, 2, Engine::Native);
+        let s = tight.stats();
+        assert_eq!((s.entries, s.evictions), (1, 1));
+        assert_eq!(s.bytes as usize, bare + lowered);
+        assert!(tight.get(1, "f").is_none(), "LRU plan evicted");
+        assert!(tight.get(2, "f").is_some(), "charged plan kept");
     }
 
     #[test]

@@ -23,7 +23,9 @@ use telemetry::Json;
 pub struct CompiledModule {
     /// The vectorized module (executed read-only by every request).
     pub module: Module,
-    /// The cache key (also the `module_id` for the shared plan cache).
+    /// The cache key: [`module_key`](crate::hashing::module_key), which
+    /// [`plan_key`](crate::hashing::plan_key) extends per target for the
+    /// shared plan cache.
     pub key: u64,
     /// Compiler warnings, replayed verbatim on every hit.
     pub warnings: Vec<String>,

@@ -9,24 +9,15 @@
 //! equivalent to a one-off `psimcc --run` invocation; `servebench
 //! --check` gates on the two producing byte-identical responses.
 //!
-//! The engine and costing target are part of the request key even though
-//! the compiled module depends on neither: native and fast requests for
-//! the same source never share a module or plan entry, so an
-//! engine-selection bug can never serve one tier's request from the
-//! other's warm path — and since cached cycle counts are priced against
-//! the request's target, per-target keys keep those prices from bleeding
-//! across machines.
-//!
-//! The cost model is derived per request from its target
-//! (`TargetCost::for_target`). The module-cache key is still a valid
-//! `module_id` for the plan cache: a `FramePlan` is a pure function of
-//! (module, function, cost model), and the key identifies the module,
-//! the configuration, *and* the target the cost model came from.
+//! Modules are keyed by compile inputs alone ([`module_key`]): one compile
+//! serves every engine and target. Plans are keyed by module and target
+//! ([`plan_key`]), because a `FramePlan` memoizes target-priced costs. The
+//! engine only picks the executor.
 
 use crate::batch::BatchConfig;
 use crate::cache::{CompiledModule, ModuleCache};
 use crate::chaos::ChaosSpec;
-use crate::hashing::request_key;
+use crate::hashing::{module_key, plan_key};
 use crate::request::{hex, CacheInfo, Mode, RunRequest, RunResponse};
 use parsimony::{
     vectorize_module_with, FaultInjector, PipelineOptions, VectorizeOptions, VerifyMode,
@@ -230,7 +221,8 @@ impl ServeState {
     }
 
     /// Serves one request under explicit limits and an optional
-    /// cancellation token (the daemon's path). Budgets are *runtime*
+    /// cancellation token (the daemon's unbatched path): a one-member
+    /// [`run_batch_with`](Self::run_batch_with). Budgets are *runtime*
     /// knobs: they are deliberately not part of the cache key, so the same
     /// source served under different budgets shares one compiled module.
     ///
@@ -244,65 +236,17 @@ impl ServeState {
         limits: &ServeLimits,
         cancel: Option<&CancelToken>,
     ) -> Result<RunResponse, ServeError> {
-        if req.source.len() as u64 > limits.max_source_bytes {
-            return Err(ServeError::ResourceExhausted {
-                what: "source_bytes".into(),
-                detail: format!(
-                    "source is {} bytes, {} allowed",
-                    req.source.len(),
-                    limits.max_source_bytes
-                ),
-            });
-        }
-        // A request that is already cancelled or past its deadline skips
-        // the (uncancellable) compile phase entirely — a queued request
-        // whose deadline passed while it waited costs nothing further.
-        if let Some(tok) = cancel {
-            check_token(tok)?;
-        }
-        let key = request_key(
-            &req.source,
-            req.mode.name(),
-            &req.verify,
-            &req.inject,
-            req.engine.flag_name(),
-            &req.target.flag_name(),
-        );
-        let t = Instant::now();
-        let (cm, module_hit) = match self.modules.get(key) {
-            Some(cm) => (cm, true),
-            None => {
-                let cm = compile_uncached(req, key).map_err(ServeError::Error)?;
-                (self.modules.insert(cm), false)
-            }
-        };
-        let compile_nanos = if module_hit {
-            0
-        } else {
-            t.elapsed().as_nanos() as u64
-        };
-        let budget = RunBudget::effective(limits, req);
-        let cost = TargetCost::for_target(req.target.clone());
-        let mut resp = execute(
-            &cm,
-            req,
-            &cost,
-            Some((&self.plans, key)),
-            Some(&budget),
-            cancel,
-        )?;
-        resp.cache.module_hit = module_hit;
-        resp.compile_nanos = compile_nanos;
-        Ok(resp)
+        let mut out = self.run_batch_with(&[(req, cancel)], limits);
+        out.pop().expect("one result per member")
     }
 
     /// Serves a sealed batch of coalesced requests — one cache lookup,
     /// one compile (at most), one interpreter arena for every member.
     /// Members share a [`batch_key`](crate::hashing::batch_key), so they
-    /// agree on module, entry, gang configuration, and budget triple; the
-    /// per-member budget, token, and profiling are still configured
-    /// individually, and each member's response is byte-identical to what
-    /// it would have received alone.
+    /// agree on module, engine, target, entry, gang configuration, and
+    /// budget triple; the per-member budget, token, and profiling are
+    /// still configured individually, and each member's response is
+    /// byte-identical to what it would have received alone.
     ///
     /// Detach-on-error contract: a member that fails — cancelled, past
     /// its deadline, over a budget, or trapped at runtime — gets its
@@ -314,43 +258,24 @@ impl ServeState {
         members: &[(&RunRequest, Option<&CancelToken>)],
         limits: &ServeLimits,
     ) -> Vec<Result<RunResponse, ServeError>> {
-        let mut out: Vec<Option<Result<RunResponse, ServeError>>> =
-            members.iter().map(|_| None).collect();
-        // Source admission per member: batch keys hash the *canonicalized*
-        // source, so raw lengths may differ across members.
-        for (slot, (req, _)) in out.iter_mut().zip(members) {
-            if req.source.len() as u64 > limits.max_source_bytes {
-                *slot = Some(Err(ServeError::ResourceExhausted {
-                    what: "source_bytes".into(),
-                    detail: format!(
-                        "source is {} bytes, {} allowed",
-                        req.source.len(),
-                        limits.max_source_bytes
-                    ),
-                }));
-            }
-        }
+        let mut out: Vec<Option<Result<RunResponse, ServeError>>> = members
+            .iter()
+            .map(|&(req, cancel)| admit(req, cancel, limits).err().map(Err))
+            .collect();
         // Resolve the shared module once, compiling through the first
-        // still-admissible member. No admissible member at all means every
-        // slot already holds its error.
+        // admitted member. No admitted member at all means every slot
+        // already holds its error.
         let Some(lead) = out.iter().position(Option::is_none).map(|i| members[i].0) else {
             return out.into_iter().map(|s| s.expect("filled")).collect();
         };
-        let key = request_key(
-            &lead.source,
-            lead.mode.name(),
-            &lead.verify,
-            &lead.inject,
-            lead.engine.flag_name(),
-            &lead.target.flag_name(),
-        );
+        let key = module_key(&lead.source, lead.mode.name(), &lead.verify, &lead.inject);
         let t = Instant::now();
         let (cm, module_hit) = match self.modules.get(key) {
             Some(cm) => (cm, true),
             None => match compile_uncached(lead, key) {
                 Ok(cm) => (self.modules.insert(cm), false),
                 Err(e) => {
-                    // A compile failure detaches every admissible member
+                    // A compile failure detaches every admitted member
                     // with the same error (they share the source).
                     for slot in &mut out {
                         if slot.is_none() {
@@ -370,19 +295,22 @@ impl ServeState {
         // (`Memory::reset` + `Interp::reset_run`) restores the
         // fresh-interpreter state between members while keeping the warm
         // machinery — resolved plans, lane/frame pools, the mapped arena.
-        // Batch members share a target by construction — the target is
-        // folded into the request key, which leads the batch key — so the
-        // lead's cost model prices every member.
-        let cost = TargetCost::for_target(lead.target.clone());
+        // Batch members share a target by construction (the request key
+        // leads the batch key), so the lead's cost model prices every
+        // member.
+        let target = &lead.target;
+        let cost = TargetCost::for_target(target.clone());
         let mut it = Interp::new(&cm.module, Memory::default(), &cost, &EXTERNS);
-        it.set_plan_cache(Arc::clone(&self.plans), key);
+        it.set_plan_cache(Arc::clone(&self.plans), plan_key(key, &target.flag_name()));
         // Input-arena sharing: the first member to fill its workload
         // buffers leaves an image behind, and every later member with the
         // *identical* buffer-spec list restores it instead of re-running
         // the seeded per-element fills — one memcpy replaces the RNG. The
         // fills are deterministic functions of the specs, so the restored
-        // arena is byte-for-byte the one a fresh fill would produce.
+        // arena is byte-for-byte the one a fresh fill would produce. A
+        // lone member has no one to share with and takes no image.
         let mut inputs: Option<InputSnapshot> = None;
+        let share_inputs = out.iter().filter(|s| s.is_none()).count() > 1;
         let mut first = true;
         for (slot, (req, cancel)) in out.iter_mut().zip(members) {
             if slot.is_some() {
@@ -397,7 +325,8 @@ impl ServeState {
                 Err(e) => Err(e),
                 Ok(()) => {
                     let budget = RunBudget::effective(limits, req);
-                    run_member(&mut it, &cm, req, Some(&budget), *cancel, Some(&mut inputs))
+                    let snap = share_inputs.then_some(&mut inputs);
+                    run_member(&mut it, &cm, req, Some(&budget), *cancel, snap)
                 }
             };
             *slot = Some(result.map(|mut resp| {
@@ -463,7 +392,6 @@ fn compile_uncached(req: &RunRequest, key: u64) -> Result<CompiledModule, String
         verify,
         inject,
         jobs: 1,
-        target: req.target.clone(),
     };
     let out =
         vectorize_module_with(&m, &opts, &popts).map_err(|e| format!("pipeline error: {e}"))?;
@@ -477,6 +405,28 @@ fn compile_uncached(req: &RunRequest, key: u64) -> Result<CompiledModule, String
         remarks,
         approx_bytes,
     })
+}
+
+/// Per-member admission, before any compile: the source-size limit, then
+/// the token — a request that is already cancelled or past its deadline
+/// skips the (uncancellable) compile phase entirely, so a queued request
+/// whose deadline passed while it waited costs nothing further.
+fn admit(
+    req: &RunRequest,
+    cancel: Option<&CancelToken>,
+    limits: &ServeLimits,
+) -> Result<(), ServeError> {
+    if req.source.len() as u64 > limits.max_source_bytes {
+        return Err(ServeError::ResourceExhausted {
+            what: "source_bytes".into(),
+            detail: format!(
+                "source is {} bytes, {} allowed",
+                req.source.len(),
+                limits.max_source_bytes
+            ),
+        });
+    }
+    cancel.map_or(Ok(()), check_token)
 }
 
 /// Maps a cancelled token onto its typed error. The reason distinguishes
@@ -519,27 +469,6 @@ fn map_exec_error(
     }
 }
 
-/// Executes a compiled module over a request's workload on the request's
-/// engine. `plans` attaches the shared plan cache (the cached serve path);
-/// `None` is the single-shot path. `budget`/`cancel` attach resource
-/// limits and cooperative cancellation; both `None` reproduces the
-/// pre-budget behavior bit for bit (nothing is configured on the
-/// interpreter at all).
-fn execute(
-    cm: &CompiledModule,
-    req: &RunRequest,
-    cost: &TargetCost,
-    plans: Option<(&Arc<PlanCache>, u64)>,
-    budget: Option<&RunBudget>,
-    cancel: Option<&CancelToken>,
-) -> Result<RunResponse, ServeError> {
-    let mut it = Interp::new(&cm.module, Memory::default(), cost, &EXTERNS);
-    if let Some((cache, module_id)) = plans {
-        it.set_plan_cache(Arc::clone(cache), module_id);
-    }
-    run_member(&mut it, cm, req, budget, cancel, None)
-}
-
 /// The lead batch member's initialized input arena: its buffer-spec list,
 /// the buffer base addresses, and the filled-arena image. Batchmates with
 /// an identical spec list restore the image instead of refilling.
@@ -550,10 +479,10 @@ struct InputSnapshot {
 }
 
 /// Runs one request on a prepared interpreter whose memory is fresh (or
-/// freshly [`Memory::reset`]) — the shared tail of the single-request and
-/// batch paths. The arena and resolved plans carry over between batch
-/// members; everything the response depends on is configured here per
-/// member, so a member executed mid-batch is byte-identical to one
+/// freshly [`Memory::reset`]) — the shared tail of the served (batch) and
+/// [`single_shot`] paths. The arena and resolved plans carry over between
+/// batch members; everything the response depends on is configured here
+/// per member, so a member executed mid-batch is byte-identical to one
 /// executed alone.
 fn run_member(
     it: &mut Interp<'_>,
@@ -666,19 +595,13 @@ fn run_member(
 /// # Errors
 /// Same failure surface as [`ServeState::run_request`].
 pub fn single_shot(req: &RunRequest) -> Result<RunResponse, String> {
-    let key = request_key(
-        &req.source,
-        req.mode.name(),
-        &req.verify,
-        &req.inject,
-        req.engine.flag_name(),
-        &req.target.flag_name(),
-    );
+    let key = module_key(&req.source, req.mode.name(), &req.verify, &req.inject);
     let t = Instant::now();
     let cm = compile_uncached(req, key)?;
     let compile_nanos = t.elapsed().as_nanos() as u64;
     let cost = TargetCost::for_target(req.target.clone());
-    let mut resp = execute(&cm, req, &cost, None, None, None).map_err(|e| e.to_string())?;
+    let mut it = Interp::new(&cm.module, Memory::default(), &cost, &EXTERNS);
+    let mut resp = run_member(&mut it, &cm, req, None, None, None).map_err(|e| e.to_string())?;
     resp.compile_nanos = compile_nanos;
     Ok(resp)
 }
@@ -881,48 +804,45 @@ void main(f32* restrict out, i64 n) {
     }
 
     #[test]
-    fn native_requests_never_share_cache_entries_with_fast_requests() {
+    fn one_compile_serves_every_engine_and_target() {
         let state = ServeState::new(&ServeOptions::default());
-        let fast_cold = state.run_request(&req(1)).expect("fast cold");
-        assert!(!fast_cold.cache.module_hit);
-
-        // Same source on the native engine: a distinct module entry (cold
-        // compile) and distinct plans (builds, not shared hits).
-        let mut native = req(2);
-        native.engine = Engine::Native;
-        let native_cold = state.run_request(&native).expect("native cold");
-        assert!(
-            !native_cold.cache.module_hit,
-            "native request must not hit the fast request's module entry"
-        );
+        let targets = [
+            vmach::Target::avx512(),
+            vmach::Target::avx2(),
+            vmach::Target::sve(512),
+        ];
+        let mut id = 0;
+        for target in &targets {
+            let mut builds = Vec::new();
+            for engine in [Engine::Fast, Engine::Native] {
+                id += 1;
+                let mut r = req(id);
+                r.engine = engine;
+                r.target = target.clone();
+                let resp = state.run_request(&r).expect("served");
+                assert_eq!(
+                    resp.identity(),
+                    single_shot(&r).expect("single shot").identity(),
+                    "{} on {}",
+                    engine.flag_name(),
+                    target.flag_name()
+                );
+                builds.push((resp.cache.plan_builds, resp.cache.plan_shared_hits));
+            }
+            // The first engine on a target builds its plans; the second
+            // reuses them, native lowering included.
+            let (fast, native) = (builds[0], builds[1]);
+            assert!(fast.0 > 0, "first request on a target builds plans");
+            assert_eq!(native, (0, fast.0), "native shares the fast plans");
+        }
+        let m = state.modules.stats();
+        assert_eq!((m.entries, m.misses, m.hits), (1, 1, 5), "one compile");
+        let p = state.plans.stats();
         assert_eq!(
-            native_cold.cache.plan_shared_hits, 0,
-            "native request must not reuse the fast request's plans"
+            p.entries, p.misses,
+            "one plan build per function and target"
         );
-        assert_eq!(state.modules.stats().entries, 2);
-
-        // Warm replays on each tier hit only their own entries, and both
-        // tiers serve the byte-identical answer.
-        let fast_hot = state.run_request(&req(3)).expect("fast hot");
-        let mut native2 = req(4);
-        native2.engine = Engine::Native;
-        let native_hot = state.run_request(&native2).expect("native hot");
-        assert!(fast_hot.cache.module_hit && native_hot.cache.module_hit);
-        assert!(native_hot.cache.plan_shared_hits > 0);
-        assert_eq!(state.modules.stats().entries, 2);
-        assert_eq!(fast_hot.identity(), fast_cold.identity());
-        assert_eq!(native_hot.identity(), native_cold.identity());
-        assert_eq!(
-            native_cold.identity(),
-            fast_cold.identity(),
-            "engines must agree byte for byte"
-        );
-        let mut shot = req(5);
-        shot.engine = Engine::Native;
-        assert_eq!(
-            native_hot.identity(),
-            single_shot(&shot).expect("native single shot").identity()
-        );
+        assert_eq!(p.entries % targets.len() as u64, 0);
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! The module cache is keyed by *what the compiler would see*, not by the
 //! request text: PsimC sources that differ only in comments or whitespace
 //! canonicalize to the same token stream and therefore share one compiled
-//! module (and, transitively, one set of execution plans). The compile
-//! *configuration* — SPMD mode, verification mode, fault-injection
-//! descriptor — is folded into the key because it changes the compiled
-//! output.
+//! module. The compile *configuration* — SPMD mode, verification mode,
+//! fault-injection descriptor — is folded into the key because it changes
+//! the compiled output; nothing else is. Three keys build on each other:
+//!
+//! * [`module_key`] — compile inputs; keys the module cache.
+//! * [`plan_key`] — module key + costing target; keys the plan cache.
+//! * [`request_key`] — module key + engine + target; leads the
+//!   [`batch_key`]. The engine only picks the executor.
 //!
 //! Hashing is FNV-1a 64, the same construction the rest of the workspace
 //! uses for deterministic seeds. Collisions are theoretically possible but
@@ -52,18 +56,38 @@ pub fn source_hash(src: &str) -> u64 {
     fnv1a(canonicalize(src).as_bytes())
 }
 
-/// Full module-cache key: source content hash combined with every
-/// compile-time knob that changes the compiled output, plus the execution
-/// engine and costing target. The returned key doubles as the `module_id`
-/// for the shared [`psir::PlanCache`] — (key, function) uniquely
-/// identifies a `FramePlan`.
+/// Chains key parts onto a hash, with a separator so ("ab","c") and
+/// ("a","bc") differ.
+fn chain<S: AsRef<str>>(mut h: u64, parts: impl IntoIterator<Item = S>) -> u64 {
+    for part in parts {
+        h = fnv1a(format!("{h:016x}\x1f{}", part.as_ref()).as_bytes());
+    }
+    h
+}
+
+/// Module-cache key: source content hash chained with every compile-time
+/// knob that changes the compiled output. Engine and target are not
+/// inputs to the compiler (the `target-contract` CI job checks that the
+/// module text is the same at every vector length), so one compiled
+/// module serves every engine × target. Also [`CompiledModule::key`].
 ///
-/// The engine and target are part of the key even though the compiled
-/// module depends on neither: keeping native-engine and per-target
-/// entries disjoint means a selection bug can never silently serve a
-/// request from the wrong tier's warm path (a cached response carries
-/// target-priced cycles), and the per-engine hit/miss counters stay
-/// honest.
+/// [`CompiledModule::key`]: crate::cache::CompiledModule::key
+pub fn module_key(source: &str, mode: &str, verify: &str, inject: &str) -> u64 {
+    chain(source_hash(source), [mode, verify, inject])
+}
+
+/// Plan-cache key: the `module_id` handed to [`psir::PlanCache`]. A
+/// `FramePlan` memoizes instruction costs priced for one target, so plans
+/// are keyed by module *and* target. The engine is absent: the native
+/// lowering rides on the shared `FramePlan`, so every engine executes the
+/// same plan.
+pub fn plan_key(module_key: u64, target: &str) -> u64 {
+    chain(module_key, [target])
+}
+
+/// Request key: [`module_key`] chained with the engine and target. It
+/// keys no cache; it leads the [`batch_key`], so every batch runs on one
+/// engine and one target.
 pub fn request_key(
     source: &str,
     mode: &str,
@@ -72,42 +96,36 @@ pub fn request_key(
     engine: &str,
     target: &str,
 ) -> u64 {
-    let mut h = source_hash(source);
-    for part in [mode, verify, inject, engine, target] {
-        // Chain with a separator so ("ab","c") and ("a","bc") differ.
-        h = fnv1a(format!("{h:016x}\x1f{part}").as_bytes());
-    }
-    h
+    chain(module_key(source, mode, verify, inject), [engine, target])
 }
 
-/// Batch-coalescing key: the module-cache key extended with everything
+/// Batch-coalescing key: the [`request_key`] extended with everything
 /// two concurrent requests must share to be admitted into one batch —
 /// the entry function (one plan per function), the gang configuration
-/// `n`, and the request-side budget triple. Module key first: requests
-/// in one batch share a compiled module, its plans, and one interpreter
-/// arena by construction. Budgets are *compatible*, not merely present:
-/// each member still gets its own [`RunBudget`](crate::RunBudget) and
-/// token at execution time, the key only guarantees the members agree on
-/// what those budgets are.
+/// `n`, and the request-side budget triple. Request key first: requests
+/// in one batch share a compiled module, an engine, a target, its plans,
+/// and one interpreter arena by construction. Budgets are *compatible*,
+/// not merely present: each member still gets its own
+/// [`RunBudget`](crate::RunBudget) and token at execution time, the key
+/// only guarantees the members agree on what those budgets are.
 pub fn batch_key(
-    module_key: u64,
+    request_key: u64,
     entry: &str,
     n: u64,
     deadline_ms: u64,
     max_steps: u64,
     max_mem_bytes: u64,
 ) -> u64 {
-    let mut h = module_key;
-    for part in [
-        entry.to_string(),
-        n.to_string(),
-        deadline_ms.to_string(),
-        max_steps.to_string(),
-        max_mem_bytes.to_string(),
-    ] {
-        h = fnv1a(format!("{h:016x}\x1f{part}").as_bytes());
-    }
-    h
+    chain(
+        request_key,
+        [
+            entry.to_string(),
+            n.to_string(),
+            deadline_ms.to_string(),
+            max_steps.to_string(),
+            max_mem_bytes.to_string(),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -130,40 +148,54 @@ mod tests {
     }
 
     #[test]
-    fn config_is_part_of_the_key() {
+    fn compile_config_is_part_of_the_module_key() {
         let src = "void f() { }";
-        let avx512 = "x86-avx512";
-        let base = request_key(src, "parsimony", "fallback", "", "fast", avx512);
+        let base = module_key(src, "parsimony", "fallback", "");
+        assert_eq!(base, module_key(src, "parsimony", "fallback", ""));
+        assert_ne!(base, module_key(src, "gangsync", "fallback", ""));
+        assert_ne!(base, module_key(src, "parsimony", "strict", ""));
+        assert_ne!(base, module_key(src, "parsimony", "fallback", "shape:1"));
         assert_ne!(
             base,
-            request_key(src, "gangsync", "fallback", "", "fast", avx512)
+            module_key("void g() { }", "parsimony", "fallback", "")
         );
+    }
+
+    #[test]
+    fn plan_key_separates_targets_only() {
+        let m = module_key("void f() { }", "parsimony", "fallback", "");
+        let avx512 = plan_key(m, "x86-avx512");
+        assert_eq!(avx512, plan_key(m, "x86-avx512"));
+        // Plans memoize target-priced costs: every target, and every SVE
+        // vector length, gets its own plans.
+        assert_ne!(avx512, plan_key(m, "x86-avx2"));
+        assert_ne!(plan_key(m, "sve-vla:512"), plan_key(m, "sve-vla:256"));
+        assert_ne!(avx512, plan_key(m.wrapping_add(1), "x86-avx512"));
+        // A plan id is never mistaken for the module id it extends.
+        assert_ne!(avx512, m);
+    }
+
+    #[test]
+    fn request_key_extends_the_module_key_with_engine_and_target() {
+        let src = "void f() { }";
+        let m = module_key(src, "parsimony", "fallback", "");
+        let base = request_key(src, "parsimony", "fallback", "", "fast", "x86-avx512");
+        assert_eq!(base, chain(m, ["fast", "x86-avx512"]));
         assert_ne!(
             base,
-            request_key(src, "parsimony", "strict", "", "fast", avx512)
+            request_key(src, "parsimony", "fallback", "", "native", "x86-avx512")
         );
-        assert_ne!(
-            base,
-            request_key(src, "parsimony", "fallback", "shape:1", "fast", avx512)
-        );
-        assert_ne!(
-            base,
-            request_key(src, "parsimony", "fallback", "", "native", avx512)
-        );
-        // Targets keep disjoint warm paths: cached cycles are priced per
-        // machine, and different SVE vector lengths price differently too.
         assert_ne!(
             base,
             request_key(src, "parsimony", "fallback", "", "fast", "sve-vla:512")
         );
-        assert_ne!(
-            request_key(src, "parsimony", "fallback", "", "fast", "sve-vla:512"),
-            request_key(src, "parsimony", "fallback", "", "fast", "sve-vla:256")
-        );
-        assert_eq!(
-            base,
-            request_key(src, "parsimony", "fallback", "", "fast", avx512)
-        );
+        // The key the batching tier and the benchmark depend on is pinned:
+        // the same FNV-1a chain over every part, in this order.
+        let mut h = source_hash(src);
+        for part in ["parsimony", "fallback", "", "fast", "x86-avx512"] {
+            h = fnv1a(format!("{h:016x}\x1f{part}").as_bytes());
+        }
+        assert_eq!(base, h);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! content-addressed cache tiers shared across every concurrent session:
 //!
 //! 1. **Module cache** — canonicalized source hash (comments and
-//!    whitespace stripped) × compile configuration → compiled module.
+//!    whitespace stripped) × compile configuration → compiled module,
+//!    shared by every engine and target.
 //! 2. **Plan cache** — the interpreter's shared [`psir::PlanCache`]:
-//!    (module, function) → execution [`psir::FramePlan`].
+//!    (module, target, function) → execution [`psir::FramePlan`],
+//!    shared by every engine.
 //!
 //! Both tiers are LRU with byte budgets and hit/miss/eviction counters;
 //! an eviction can never produce a different answer, only a recompile —
@@ -24,8 +26,8 @@
 //! ride along per-request, exactly as on the `psimcc` command line.
 //!
 //! On top of the caches sits the **batching tier** ([`batch`]):
-//! concurrent `run` requests that agree on module, entry, gang
-//! configuration, and budgets are coalesced — within a bounded window —
+//! concurrent `run` requests that agree on module, engine, target, entry,
+//! gang configuration, and budgets are coalesced — within a bounded window —
 //! into one batch that executes back-to-back on a single pre-warmed
 //! interpreter arena, resolving the shared plan once. Responses stay
 //! byte-identical to unbatched runs; a cancelled or budget-exhausted

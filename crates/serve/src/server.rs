@@ -78,7 +78,8 @@ struct Lifecycle {
 /// is waiting on. Whichever thread dispatches the sealed batch answers
 /// every member through its own channel; the member's connection thread
 /// keeps running its usual reply loop (disconnect probing, shutdown
-/// checks) unchanged.
+/// checks) unchanged. With batching off, each request is the only member
+/// of its own batch.
 struct BatchMember {
     run: Box<RunRequest>,
     token: CancelToken,
@@ -91,7 +92,7 @@ struct ServerShared {
     limits: ServeLimits,
     batch_cfg: BatchConfig,
     /// The batching tier; `None` when the window is 0 (tier disabled) —
-    /// dispatch is then per-request, exactly as before the tier existed.
+    /// every request is then dispatched at once as a batch of one.
     coalescer: Option<Coalescer<BatchMember>>,
     chaos: Option<ChaosSpec>,
     stopping: AtomicBool,
@@ -687,45 +688,20 @@ fn dispatch(shared: &Arc<ServerShared>, line: &str, frames: &mut FrameReader) ->
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .remove(&seq);
             };
+            // Every outcome — result, structured error, even executor
+            // overload — arrives through `tx` from whichever thread
+            // dispatches the member's batch, so this thread drops straight
+            // into the reply loop below.
+            let member = BatchMember {
+                run,
+                token: token.clone(),
+                tx,
+            };
             if shared.coalescer.is_some() {
-                // Batching tier: hand the request (with its reply channel)
-                // to the coalescer. Every outcome — result, structured
-                // error, even executor overload — arrives through `tx`
-                // from whichever thread dispatches the sealed batch, so
-                // this thread drops straight into the reply loop below.
-                submit_batched(shared, run, token.clone(), tx);
+                submit_batched(shared, member);
             } else {
-                let job = {
-                    let shared = Arc::clone(shared);
-                    let token = token.clone();
-                    let tx = tx.clone();
-                    Box::new(move || {
-                        maybe_delay(shared.chaos.as_ref(), "worker", "delay");
-                        if shared
-                            .chaos
-                            .as_ref()
-                            .is_some_and(|c| c.fires("worker", "kill"))
-                        {
-                            panic!("chaos: worker killed mid-request");
-                        }
-                        let resp =
-                            match shared
-                                .state
-                                .run_request_with(&run, &shared.limits, Some(&token))
-                            {
-                                Ok(r) => Response::Ok(Box::new(r)),
-                                Err(e) => serve_error_response(id, e),
-                            };
-                        let _ = tx.send(resp);
-                    }) as Box<dyn FnOnce() + Send>
-                };
-                let abort = Box::new(move || {
-                    let _ = tx.send(Response::ShuttingDown { id });
-                });
-                if shared.executor.submit_with_abort(job, abort).is_err() {
-                    cleanup(shared);
-                    return (Response::Overloaded { id }, false);
-                }
+                // Batching off: every request is a batch of one.
+                dispatch_batch(shared, vec![member]);
             }
             let reply_poll = shared.executor.config().reply_poll;
             let resp = loop {
@@ -767,12 +743,8 @@ fn dispatch(shared: &Arc<ServerShared>, line: &str, frames: &mut FrameReader) ->
 /// this call is the one that seals the batch — dispatches it. All
 /// replies flow through the member channels, so the caller always
 /// proceeds to its reply loop regardless of who dispatched.
-fn submit_batched(
-    shared: &Arc<ServerShared>,
-    run: Box<RunRequest>,
-    token: CancelToken,
-    tx: mpsc::Sender<Response>,
-) {
+fn submit_batched(shared: &Arc<ServerShared>, member: BatchMember) {
+    let run = &member.run;
     let key = batch_key(
         request_key(
             &run.source,
@@ -790,7 +762,7 @@ fn submit_batched(
     );
     maybe_delay(shared.chaos.as_ref(), "batch", "form_delay");
     let coalescer = shared.coalescer.as_ref().expect("batching enabled");
-    let Some(batch) = coalescer.submit(key, BatchMember { run, token, tx }) else {
+    let Some(batch) = coalescer.submit(key, member) else {
         // Joined a batch another thread seals and dispatches.
         return;
     };

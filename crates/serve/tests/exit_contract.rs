@@ -252,3 +252,27 @@ fn runtime_failures_exit_one() {
         "stderr explains: {stderr:?}"
     );
 }
+
+#[test]
+fn deeply_nested_source_exits_one_with_a_located_error() {
+    let Some(path) = bin("psimcc") else {
+        eprintln!("exit_contract: psimcc not built in this invocation, skipping");
+        return;
+    };
+    let file = std::env::temp_dir().join(format!("psim-deep-{}.psim", std::process::id()));
+    let deep = 100_000;
+    let src = format!(
+        "i32 f() {{ return {}1{}; }}\n",
+        "(".repeat(deep),
+        ")".repeat(deep)
+    );
+    std::fs::write(&file, src).expect("write source");
+    let out = Command::new(&path).arg(&file).output().expect("run");
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(out.status.code(), Some(1), "psimcc deep-nesting status");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nesting") && stderr.contains("1:"),
+        "a located parse error: {stderr:?}"
+    );
+}

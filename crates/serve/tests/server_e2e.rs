@@ -157,6 +157,48 @@ fn malformed_and_failing_requests_keep_the_connection_usable() {
 }
 
 #[test]
+fn hostile_nesting_gets_error_replies_and_the_daemon_stays_up() {
+    let server = serve_tcp("127.0.0.1:0", &ServeOptions::default()).expect("bind");
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(&server.addr).expect("raw connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut send = |line: &[u8]| {
+        writer.write_all(line).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut buf = String::new();
+        reader.read_line(&mut buf).unwrap();
+        Response::parse(buf.trim_end()).expect("parse reply")
+    };
+    // A 400 KB frame of nested arrays: a JSON error, not a dead daemon.
+    let mut frame = vec![b'['; 200_000];
+    frame.extend(vec![b']'; 200_000]);
+    let Response::Error { message, .. } = send(&frame) else {
+        panic!("expected an error reply to the nested frame")
+    };
+    assert!(message.contains("nesting"), "{message}");
+    let ping = Request::Ping { id: 1 }.to_json().to_string_compact();
+    assert!(matches!(
+        send(ping.as_bytes()),
+        Response::Pong { id: 1, .. }
+    ));
+
+    // 100k nested parentheses in the source: a compile error reply.
+    let run = Request::Run(Box::new(out_only_req(2, &deep_paren_src(100_000), 64)));
+    let Response::Error { id, message } = send(run.to_json().to_string_compact().as_bytes()) else {
+        panic!("expected an error reply to the nested source")
+    };
+    assert_eq!(id, 2);
+    assert!(message.contains("nesting"), "{message}");
+    assert!(matches!(
+        send(ping.as_bytes()),
+        Response::Pong { id: 1, .. }
+    ));
+    server.shutdown();
+}
+
+#[test]
 fn overload_yields_explicit_backpressure_then_recovers() {
     // One worker, pending bound 1: while the slow request executes, any
     // further run must be refused with `overloaded` (not queued, not
@@ -611,4 +653,55 @@ fn batching_coalesces_identical_runs_and_the_counters_move() {
     assert_eq!(batch_counter(&stats, "batches_formed"), 2);
     assert_eq!(batch_counter(&stats, "window_timeouts"), 1);
     server.shutdown();
+}
+
+/// A kernel whose stored value is `1.0` wrapped in parentheses so that
+/// the innermost expression sits `depth` levels deep: the psim region,
+/// the store and its right-hand side take the first three.
+fn deep_paren_src(depth: usize) -> String {
+    let parens = depth - 3;
+    format!(
+        "void main(f32* restrict out, i64 n) {{ psim gang(8) threads(n) {{ \
+         i64 i = psim_thread_num(); out[i] = {}1.0{}; }} }}",
+        "(".repeat(parens),
+        ")".repeat(parens)
+    )
+}
+
+/// A kernel whose store sits under nested `if`s so that the store's index
+/// expression sits `depth` levels deep: the psim region, the store, its
+/// target `out[i]` and the index `i` take four.
+fn deep_if_src(depth: usize) -> String {
+    let ifs = depth - 4;
+    format!(
+        "void main(f32* restrict out, i64 n) {{ psim gang(8) threads(n) {{ \
+         i64 i = psim_thread_num(); {} out[i] = 1.0; {} }} }}",
+        "if (i < n) {".repeat(ifs),
+        "}".repeat(ifs)
+    )
+}
+
+#[test]
+fn sources_at_the_nesting_cap_compile_on_a_default_stack() {
+    let cap = psimc::parser::MAX_NESTING;
+    for (what, src, over) in [
+        ("parens", deep_paren_src(cap), deep_paren_src(cap + 1)),
+        ("ifs", deep_if_src(cap), deep_if_src(cap + 1)),
+    ] {
+        let err = psimc::parse(&over).map(|_| ()).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{what}: {err}");
+        // Spawned threads get the default 2 MiB stack.
+        let resp = std::thread::spawn(move || {
+            let state = psim_serve::ServeState::new(&ServeOptions::default());
+            state.run_request(&out_only_req(1, &src, 64))
+        })
+        .join()
+        .expect("no stack overflow on a 2 MiB thread");
+        let resp = resp.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(
+            resp.outputs[0],
+            "0000803f".repeat(64),
+            "{what}: 1.0f32 stored"
+        );
+    }
 }

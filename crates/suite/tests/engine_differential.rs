@@ -195,7 +195,6 @@ fn degraded_scalar_fallback_agrees_between_engines() {
         verify: VerifyMode::Fallback,
         inject: Some(FaultInjector::parse("vectorize:panic").expect("registered site")),
         jobs: 1,
-        target: Target::reference_default(),
     };
     let mut failures = Vec::new();
     for k in simd_kernels(512).into_iter().take(8) {

@@ -165,13 +165,19 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects may nest at most
+    /// [`MAX_DEPTH`] deep, so hostile input cannot exhaust the stack.
     ///
     /// # Errors
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(src: &str) -> Result<Json, String> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            src,
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -200,9 +206,15 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -231,8 +243,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -317,15 +329,32 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().expect("peeked nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at an
+                    // ASCII `"` or `\` (or the end of input), so both ends
+                    // are char boundaries of the source string.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -400,6 +429,54 @@ mod tests {
         for text in [v.to_string_compact(), v.to_string_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn strings_decode_multibyte_text_and_every_escape() {
+        let src = r#""é中🦀 \" \\ \/ \n \r \t \b \f \u0041\u00e9 ok""#;
+        assert_eq!(
+            Json::parse(src),
+            Ok(Json::Str("é中🦀 \" \\ / \n \r \t \u{8} \u{c} Aé ok".into()))
+        );
+        // Escapes at both ends of a run and back to back.
+        assert_eq!(Json::parse(r#""\n\t""#), Ok(Json::Str("\n\t".into())));
+        assert!(Json::parse(r#""\q""#).is_err());
+        assert!(Json::parse(r#""\u00""#).is_err());
+        assert!(Json::parse(r#""open"#).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of multibyte text: quadratic re-validation per character
+        // would take minutes here, one pass takes milliseconds.
+        let text = "añ中🦀".repeat((4 << 20) / "añ中🦀".len());
+        let doc = Json::obj(vec![("source", Json::Str(text.clone()))]).to_string_compact();
+        let t = std::time::Instant::now();
+        let parsed = Json::parse(&doc);
+        assert_eq!(
+            parsed.as_ref().ok().and_then(|d| d.get("source")?.as_str()),
+            Some(text.as_str())
+        );
+        assert!(t.elapsed().as_secs() < 10, "took {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1));
+        assert!(
+            err.as_ref().is_err_and(|e| e.contains("nesting")),
+            "{err:?}"
+        );
+        let obj = |d: usize| format!("{}1{}", r#"{"a":"#.repeat(d), "}".repeat(d));
+        assert!(Json::parse(&obj(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&obj(MAX_DEPTH + 1)).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&nest(200_000)).is_err());
+        // Depth is nesting, not count: many siblings are fine.
+        let wide = format!("[{}[]]", "[],".repeat(10_000));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -155,7 +155,7 @@ proptest! {
         let result = vectorize_module_with(
             &m,
             &VectorizeOptions::default(),
-            &PipelineOptions { verify: VerifyMode::Fallback, inject: Some(inj), jobs: 1, ..PipelineOptions::default() },
+            &PipelineOptions { verify: VerifyMode::Fallback, inject: Some(inj), jobs: 1 },
         );
 
         if shape.has_horizontal() {
@@ -210,7 +210,7 @@ proptest! {
         let out = vectorize_module_with(
             &m,
             &VectorizeOptions::default(),
-            &PipelineOptions { verify: VerifyMode::Fallback, inject: None, jobs: 1, ..PipelineOptions::default() },
+            &PipelineOptions { verify: VerifyMode::Fallback, inject: None, jobs: 1 },
         )
         .unwrap_or_else(|e| panic!("pipeline: {e}\n{src}"));
         prop_assert!(out.degraded.is_empty(), "spuriously degraded: {:?}\n{}", out.degraded, src);
