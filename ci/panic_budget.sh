@@ -29,7 +29,7 @@ criterion_compat 0
 fuzz 20
 proptest_compat 2
 psimc 26
-psir 105
+psir 104
 rand_compat 0
 serve 79
 shapecheck 9

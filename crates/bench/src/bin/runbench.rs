@@ -9,7 +9,7 @@
 //! Executes the suite kernels (the Figure 5 Simd-Library set at workload
 //! size `N`, plus the Figure 4 ispc set at tiny sizes) through the subject
 //! engine and its baseline — `fast` (the precompiled `FramePlan` path) is
-//! measured against the retained reference step loop, `native` (fused
+//! measured against the reference engine's per-step loop, `native` (fused
 //! block kernels) against `fast` — and reports per-kernel best-of-`K`
 //! wall times, the geomean speedup, and whether the engines were
 //! byte-identical in simulated cycles, checked outputs, execution

@@ -7,7 +7,7 @@
 //! **baseline**:
 //!
 //! * `--engine fast` (the default): the precompiled `FramePlan` fast path
-//!   against the retained reference step loop.
+//!   against the reference engine's per-step loop.
 //! * `--engine native`: the native tier (fused block kernels over a
 //!   compacted register file) against the fast engine, additionally
 //!   reporting how many blocks dynamically bailed out to the exact path

@@ -10,9 +10,9 @@
 //!    → transform → opt → legalize) executed by the precompiled-plan
 //!    engine.
 //! 3. **Vectorized, reference engine** — the same vectorized module on the
-//!    retained pre-plan interpreter. Must match (2) on outputs *and* on
-//!    simulated cycles and execution statistics (the engine-identity
-//!    contract from the fast-engine PR).
+//!    per-step engine ([`psir::Engine::Reference`]: nothing precomputed).
+//!    Must match (2) on outputs *and* on simulated cycles and execution
+//!    statistics (the engine-identity contract).
 //! 4. **Vectorized, native tier** — the same module on the fused
 //!    block-kernel engine ([`psir::Engine::Native`]), held to the same
 //!    outputs/cycles/stats identity against (2).

@@ -6,19 +6,26 @@
 //! through a [`CostModel`] — the `vmach` crate supplies the calibrated
 //! AVX-512-class model; [`UnitCost`] charges one cycle per operation.
 //!
-//! Two execution engines share one set of instruction semantics
-//! ([`Interp::set_engine`]):
+//! Three execution engines ([`Interp::set_engine`]) share one copy of the
+//! instruction semantics, `exec_inst`, and differ only in what they
+//! precompute around it:
 //!
 //! * [`Engine::Fast`] (the default) executes through a precompiled
 //!   per-function [`FramePlan`]: dense frame slots instead of a hash map,
 //!   pre-resolved φ edge tables, memoized instruction costs (one
-//!   legalization per *static* instruction), and pooled lane buffers.
-//! * [`Engine::Reference`] is the retained slow path: per-dynamic-step
-//!   cost-model queries, hashed value storage, and dynamic φ resolution.
+//!   legalization per *static* instruction), pre-resolved lane kernels
+//!   and a static call-site table.
+//! * [`Engine::Reference`] derives all of that on every dynamic step:
+//!   per-step cost-model queries, hashed value storage, φ scans at block
+//!   entry, dynamic call resolution, and the generic `eval_*` evaluators.
+//! * [`Engine::Native`] fuses whole blocks over the fast engine's plan
+//!   (see `interp/native/`).
 //!
-//! Both engines produce byte-identical simulated cycles, [`Profile`]s,
+//! All engines produce byte-identical simulated cycles, [`Profile`]s,
 //! statistics, and results — `runbench --check` and the engine
-//! differential tests gate on this identity contract.
+//! differential tests gate on this identity contract, which checks the
+//! plan's precomputed tables against the reference engine's per-step
+//! derivations.
 
 mod cancel;
 mod eval;
@@ -314,9 +321,11 @@ pub enum Engine {
     /// costs, φ edge tables, pooled buffers). The default.
     #[default]
     Fast,
-    /// The retained reference step loop (hashed values, per-step cost
-    /// queries, dynamic φ scans), kept as the identity baseline for
-    /// `runbench --check` and the differential tests.
+    /// Per-step cost queries, φ scans, dynamic call resolution and the
+    /// generic evaluators over the shared instruction executor, with
+    /// hashed value storage: nothing precomputed, so it is the identity
+    /// baseline `runbench --check` and the differential tests hold the
+    /// [`FramePlan`] tables against.
     Reference,
     /// The native tier: block bodies lowered to fused, monomorphized
     /// kernels over a linear-scan-compacted register file, with batched
@@ -355,7 +364,7 @@ impl Engine {
 /// instruction, indexed by `InstId`. Unset slots read as [`RtVal::Unit`] —
 /// the fast engine relies on the verifier's SSA dominance guarantee
 /// instead of tracking initialization per slot. (The reference engine
-/// keeps the retained `HashMap<InstId, RtVal>` storage.)
+/// stores values in a `HashMap<InstId, RtVal>` instead.)
 struct SlotFrame(Vec<RtVal>);
 
 impl SlotFrame {
@@ -376,13 +385,13 @@ impl SlotFrame {
     }
 }
 
-/// Storage for instruction results: implemented by the fast engine's
-/// dense [`SlotFrame`] and by the native tier's linear-scan-compacted
-/// register file, so both engines execute instructions through the one
-/// shared `exec_inst` path (monomorphized per store — no dynamic
-/// dispatch on the hot loop).
+/// Storage for instruction results: the fast engine's dense
+/// [`SlotFrame`], the native tier's linear-scan-compacted register file,
+/// and the reference engine's hash map. Every engine executes instructions
+/// through the one shared `exec_inst` path, monomorphized per store — no
+/// dynamic dispatch on the hot loop.
 trait ValueStore {
-    /// The stored value of `i`, if the id is in range.
+    /// The stored value of `i`, if it has been computed.
     fn value(&self, i: InstId) -> Option<&RtVal>;
 }
 
@@ -392,9 +401,62 @@ impl ValueStore for SlotFrame {
     }
 }
 
-/// Resolves an operand to a (usually borrowed) runtime value — the fast
-/// engine's allocation-free replacement for the reference path's
-/// clone-per-operand `value_ref`.
+impl ValueStore for HashMap<InstId, RtVal> {
+    fn value(&self, i: InstId) -> Option<&RtVal> {
+        self.get(&i)
+    }
+}
+
+/// The two per-instruction facts `exec_inst` takes from a plan: the
+/// pre-resolved lane kernel and the call-site classification. A
+/// [`FramePlan`] answers from its static tables (fast and native engines);
+/// [`DynamicResolver`] derives them on every dynamic step (reference
+/// engine). Monomorphized like [`ValueStore`].
+trait InstResolver {
+    /// The lane kernel of `id`; [`LaneKernel::None`] selects the generic
+    /// `eval_*` evaluators.
+    fn kernel(&self, id: InstId) -> LaneKernel;
+
+    /// How the call `id` in `f` (to `callee`) resolves.
+    fn call_site(&self, f: &Function, id: InstId, callee: &str) -> CallSite;
+}
+
+impl InstResolver for FramePlan {
+    #[inline]
+    fn kernel(&self, id: InstId) -> LaneKernel {
+        self.kernels[id.0 as usize]
+    }
+
+    #[inline]
+    fn call_site(&self, _f: &Function, id: InstId, _callee: &str) -> CallSite {
+        self.calls[id.0 as usize]
+    }
+}
+
+/// The reference engine's resolver: no pre-resolved kernels, and each call
+/// classified (and an extern's cost queried) when it executes.
+struct DynamicResolver<'a> {
+    module: &'a Module,
+    cost: &'a dyn CostModel,
+}
+
+impl InstResolver for DynamicResolver<'_> {
+    fn kernel(&self, _id: InstId) -> LaneKernel {
+        LaneKernel::None
+    }
+
+    fn call_site(&self, f: &Function, id: InstId, callee: &str) -> CallSite {
+        if self.module.function(callee).is_some() {
+            CallSite::Local
+        } else {
+            CallSite::Extern {
+                cost: self.cost.extern_call_cost(callee, f.inst_ty(id)),
+            }
+        }
+    }
+}
+
+/// Resolves an operand to a (usually borrowed) runtime value.
 fn operand<'v, S: ValueStore>(
     f: &Function,
     frame: &'v S,
@@ -896,15 +958,20 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Reference engine: the retained pre-plan step loop, kept verbatim as
-    /// the identity baseline (hashed value storage, cloned operands,
-    /// per-dynamic-step cost-model queries, per-entry φ scans). The only
-    /// intentional changes from the original are the φ step-limit check
-    /// (the runaway-guard bugfix) and the block-boundary cancellation poll
-    /// — both apply identically to both engines and neither perturbs
-    /// cycles or statistics.
+    /// Reference engine: a step loop over the shared `exec_inst` that keeps
+    /// everything [`FramePlan::build`] precomputes dynamic, so the engine
+    /// differential checks the plan against an independent derivation:
+    /// values live in a hash map, block entry scans for φ nodes and searches
+    /// each φ's incoming list, every dynamic step queries the cost model,
+    /// and [`DynamicResolver`] classifies each call as it executes and
+    /// leaves every lane computation to the generic `eval_*` evaluators.
     fn exec_reference(&mut self, f: &Function, args: Vec<RtVal>) -> Result<RtVal, ExecError> {
+        let resolver = DynamicResolver {
+            module: self.module,
+            cost: self.cost,
+        };
         let mut vals: HashMap<InstId, RtVal> = HashMap::new();
+        let mut phi_vals: Vec<(InstId, RtVal)> = Vec::new();
         let mut block = f.entry;
         let mut prev: Option<BlockId> = None;
 
@@ -912,34 +979,27 @@ impl<'a> Interp<'a> {
             self.check_cancel()?;
             // φ nodes first, evaluated simultaneously from the incoming edge.
             let blk = f.block(block);
-            let mut phi_results: Vec<(InstId, RtVal)> = Vec::new();
             for &id in &blk.insts {
-                if let Inst::Phi { incoming } = f.inst(id) {
-                    // The runaway guard applies to φ steps too: a
-                    // φ-only loop must not spin past the limit between
-                    // body checks.
-                    if self.steps >= self.step_limit {
-                        return Err(ExecError::StepLimit);
-                    }
-                    self.steps += 1;
-                    let p = prev.ok_or_else(|| {
-                        ExecError::Other(format!("phi {id} in entry block of @{}", f.name))
-                    })?;
-                    let (_, v) = incoming.iter().find(|(b, _)| *b == p).ok_or_else(|| {
-                        ExecError::Other(format!("phi {id} missing edge from {p}"))
-                    })?;
-                    let rv = self.value_ref(f, &vals, &args, *v)?;
-                    self.charge_inst(f, id);
-                    phi_results.push((id, rv));
-                } else {
+                let Inst::Phi { incoming } = f.inst(id) else {
                     break;
+                };
+                if self.steps >= self.step_limit {
+                    return Err(ExecError::StepLimit);
                 }
+                self.steps += 1;
+                let p = prev.ok_or_else(|| {
+                    ExecError::Other(format!("phi {id} in entry block of @{}", f.name))
+                })?;
+                let (_, v) = incoming
+                    .iter()
+                    .find(|(b, _)| *b == p)
+                    .ok_or_else(|| ExecError::Other(format!("phi {id} missing edge from {p}")))?;
+                let rv = operand(f, &vals, &args, *v)?.into_owned();
+                self.charge_inst(f, id);
+                phi_vals.push((id, rv));
             }
-            for (id, rv) in phi_results {
-                vals.insert(id, rv);
-            }
+            vals.extend(phi_vals.drain(..));
 
-            // Straight-line body.
             for &id in &blk.insts {
                 if matches!(f.inst(id), Inst::Phi { .. }) {
                     continue;
@@ -950,8 +1010,10 @@ impl<'a> Interp<'a> {
                 self.steps += 1;
                 self.stats.insts += 1;
                 self.charge_inst(f, id);
-                let r = self.exec_inst_ref(f, &vals, &args, id)?;
-                vals.insert(id, r);
+                let r = self.exec_inst(f, &vals, &args, id, &resolver)?;
+                if let Some(old) = vals.insert(id, r) {
+                    self.recycle(old);
+                }
             }
 
             self.charge_term(f, &blk.term);
@@ -965,440 +1027,33 @@ impl<'a> Interp<'a> {
                     then_bb,
                     else_bb,
                 } => {
-                    let c = self.value_ref(f, &vals, &args, *cond)?.scalar()?;
+                    let c = operand(f, &vals, &args, *cond)?.scalar()?;
                     prev = Some(block);
                     block = if c & 1 != 0 { *then_bb } else { *else_bb };
                 }
                 Terminator::Ret(v) => {
                     return match v {
                         None => Ok(RtVal::Unit),
-                        Some(v) => self.value_ref(f, &vals, &args, *v),
+                        Some(v) => operand(f, &vals, &args, *v).map(Cow::into_owned),
                     };
                 }
             }
         }
     }
 
-    /// Reference-engine operand resolution: clones out of the hash map, as
-    /// the original step loop did.
-    fn value_ref(
-        &self,
-        f: &Function,
-        vals: &HashMap<InstId, RtVal>,
-        args: &[RtVal],
-        v: Value,
-    ) -> Result<RtVal, ExecError> {
-        match v {
-            Value::Const(c) => Ok(RtVal::S(c.bits)),
-            Value::Param(i) => args
-                .get(i as usize)
-                .cloned()
-                .ok_or_else(|| ExecError::Other(format!("missing argument {i} to @{}", f.name))),
-            Value::Inst(i) => vals
-                .get(&i)
-                .cloned()
-                .ok_or_else(|| ExecError::Other(format!("use of unevaluated {i} in @{}", f.name))),
-        }
-    }
-
-    /// Reference-engine broadcast helper: yields per-lane payloads whether
-    /// the value is a scalar (splatted) or already a vector, allocating a
-    /// fresh vector per call as the original did.
-    fn lanes_of_ref(&self, v: &RtVal, lanes: u32) -> Result<Vec<u64>, ExecError> {
-        match v {
-            RtVal::S(s) => Ok(vec![*s; lanes as usize]),
-            RtVal::V(l) => {
-                if l.len() != lanes as usize {
-                    return Err(ExecError::Other(format!(
-                        "lane count mismatch: {} vs {}",
-                        l.len(),
-                        lanes
-                    )));
-                }
-                Ok(l.clone())
-            }
-            RtVal::Unit => Err(ExecError::Other("void operand".into())),
-        }
-    }
-
-    /// Charges an external (library) call, resolving the cost dynamically
-    /// (the reference path; the fast engine memoizes it in the plan).
-    fn charge_extern_dyn(&mut self, f: &Function, callee: &str, ret: Ty) {
-        let cy = self.cost.extern_call_cost(callee, ret);
-        self.charge_extern(f, callee, cy);
-    }
-
-    /// Reference-engine instruction execution: the retained original,
-    /// cloning the instruction and every operand and allocating fresh lane
-    /// buffers per operation. `crates/suite/tests/engine_differential.rs`
-    /// pins it result/cycle/profile-identical to the fast path.
+    /// Executes one non-φ instruction — the interpreter's only copy of the
+    /// instruction semantics, shared by every engine. Operands are borrowed
+    /// from `frame` and results built in pooled lane buffers; `plan`
+    /// supplies the per-lane kernel (or [`LaneKernel::None`] for the
+    /// generic `eval_*` path) and the call-site classification.
     #[allow(clippy::too_many_lines)]
-    fn exec_inst_ref(
-        &mut self,
-        f: &Function,
-        vals: &HashMap<InstId, RtVal>,
-        args: &[RtVal],
-        id: InstId,
-    ) -> Result<RtVal, ExecError> {
-        let inst = f.inst(id).clone();
-        let ty = f.inst_ty(id);
-        let get = |me: &Interp<'a>, v: Value| me.value_ref(f, vals, args, v);
-        match &inst {
-            Inst::Bin { op, a, b } => {
-                let elem = ty
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void bin".into()))?;
-                let av = get(self, *a)?;
-                let bv = get(self, *b)?;
-                if ty.is_vec() {
-                    let al = self.lanes_of_ref(&av, ty.lanes())?;
-                    let bl = self.lanes_of_ref(&bv, ty.lanes())?;
-                    let r: Result<Vec<u64>, _> = al
-                        .iter()
-                        .zip(&bl)
-                        .map(|(&x, &y)| eval_bin(*op, elem, x, y))
-                        .collect();
-                    Ok(RtVal::V(r?))
-                } else {
-                    Ok(RtVal::S(eval_bin(*op, elem, av.scalar()?, bv.scalar()?)?))
-                }
-            }
-            Inst::Un { op, a } => {
-                let elem = ty
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void un".into()))?;
-                let av = get(self, *a)?;
-                if ty.is_vec() {
-                    let al = self.lanes_of_ref(&av, ty.lanes())?;
-                    let r: Result<Vec<u64>, _> =
-                        al.iter().map(|&x| eval_un(*op, elem, x)).collect();
-                    Ok(RtVal::V(r?))
-                } else {
-                    Ok(RtVal::S(eval_un(*op, elem, av.scalar()?)?))
-                }
-            }
-            Inst::Cmp { pred, a, b } => {
-                let src = f.value_ty(*a);
-                let elem = src
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void cmp".into()))?;
-                let av = get(self, *a)?;
-                let bv = get(self, *b)?;
-                if src.is_vec() {
-                    let al = self.lanes_of_ref(&av, src.lanes())?;
-                    let bl = self.lanes_of_ref(&bv, src.lanes())?;
-                    Ok(RtVal::V(
-                        al.iter()
-                            .zip(&bl)
-                            .map(|(&x, &y)| eval_cmp(*pred, elem, x, y) as u64)
-                            .collect(),
-                    ))
-                } else {
-                    Ok(RtVal::S(
-                        eval_cmp(*pred, elem, av.scalar()?, bv.scalar()?) as u64
-                    ))
-                }
-            }
-            Inst::Cast { kind, a } => {
-                let from = f
-                    .value_ty(*a)
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void cast".into()))?;
-                let to = ty
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void cast".into()))?;
-                let av = get(self, *a)?;
-                if ty.is_vec() {
-                    let al = self.lanes_of_ref(&av, ty.lanes())?;
-                    Ok(RtVal::V(
-                        al.iter().map(|&x| eval_cast(*kind, from, to, x)).collect(),
-                    ))
-                } else {
-                    Ok(RtVal::S(eval_cast(*kind, from, to, av.scalar()?)))
-                }
-            }
-            Inst::Select { cond, t, f: fv } => {
-                let cv = get(self, *cond)?;
-                let tv = get(self, *t)?;
-                let fvv = get(self, *fv)?;
-                match cv {
-                    RtVal::S(c) => Ok(if c & 1 != 0 { tv } else { fvv }),
-                    RtVal::V(cl) => {
-                        let lanes = ty.lanes();
-                        let tl = self.lanes_of_ref(&tv, lanes)?;
-                        let fl = self.lanes_of_ref(&fvv, lanes)?;
-                        Ok(RtVal::V(
-                            cl.iter()
-                                .zip(tl.iter().zip(&fl))
-                                .map(|(&c, (&x, &y))| if c & 1 != 0 { x } else { y })
-                                .collect(),
-                        ))
-                    }
-                    RtVal::Unit => Err(ExecError::Other("void select cond".into())),
-                }
-            }
-            Inst::Splat { a } => {
-                let s = get(self, *a)?.scalar()?;
-                Ok(RtVal::V(vec![s; ty.lanes() as usize]))
-            }
-            Inst::ConstVec { lanes, .. } => Ok(RtVal::V(lanes.clone())),
-            Inst::Extract { v, lane } => {
-                let vv = get(self, *v)?;
-                let l = get(self, *lane)?.scalar()? as usize;
-                let lv = vv.vector()?;
-                lv.get(l)
-                    .copied()
-                    .map(RtVal::S)
-                    .ok_or_else(|| ExecError::Other(format!("extract lane {l} out of range")))
-            }
-            Inst::Insert { v, lane, x } => {
-                let mut lv = get(self, *v)?.vector()?.to_vec();
-                let l = get(self, *lane)?.scalar()? as usize;
-                let xv = get(self, *x)?.scalar()?;
-                if l >= lv.len() {
-                    return Err(ExecError::Other(format!("insert lane {l} out of range")));
-                }
-                lv[l] = xv;
-                Ok(RtVal::V(lv))
-            }
-            Inst::ShuffleConst { v, pattern } => {
-                let lv = get(self, *v)?.vector()?.to_vec();
-                Ok(RtVal::V(pattern.iter().map(|&p| lv[p as usize]).collect()))
-            }
-            Inst::ShuffleVar { v, idx } => {
-                let lv = get(self, *v)?.vector()?.to_vec();
-                let iv = get(self, *idx)?.vector()?.to_vec();
-                let n = lv.len() as u64;
-                Ok(RtVal::V(iv.iter().map(|&i| lv[(i % n) as usize]).collect()))
-            }
-            Inst::Load { ptr, mask } => {
-                let elem = ty
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void load".into()))?;
-                let pv = get(self, *ptr)?;
-                let mk = match mask {
-                    Some(m) => Some(get(self, *m)?.mask_lanes()?),
-                    None => None,
-                };
-                match (&pv, ty) {
-                    (RtVal::S(addr), Ty::Scalar(_)) => {
-                        self.stats.scalar_loads += 1;
-                        Ok(RtVal::S(self.mem.load_scalar(elem, *addr)?))
-                    }
-                    (RtVal::S(addr), Ty::Vec(_, n)) => {
-                        self.stats.packed_loads += 1;
-                        let sz = elem.size_bytes();
-                        let mut out = Vec::with_capacity(n as usize);
-                        for i in 0..u64::from(n) {
-                            let active = mk.as_ref().is_none_or(|m| m[i as usize]);
-                            out.push(if active {
-                                self.mem.load_scalar(elem, addr + i * sz)?
-                            } else {
-                                0
-                            });
-                        }
-                        Ok(RtVal::V(out))
-                    }
-                    (RtVal::V(addrs), Ty::Vec(..)) => {
-                        self.stats.gathers += 1;
-                        let mut out = Vec::with_capacity(addrs.len());
-                        for (i, &a) in addrs.iter().enumerate() {
-                            let active = mk.as_ref().is_none_or(|m| m[i]);
-                            out.push(if active {
-                                self.mem.load_scalar(elem, a)?
-                            } else {
-                                0
-                            });
-                        }
-                        Ok(RtVal::V(out))
-                    }
-                    _ => Err(ExecError::Other("malformed load shapes".into())),
-                }
-            }
-            Inst::Store { ptr, val, mask } => {
-                let vv = get(self, *val)?;
-                let vty = f.value_ty(*val);
-                let elem = vty
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void store".into()))?;
-                let pv = get(self, *ptr)?;
-                let mk = match mask {
-                    Some(m) => Some(get(self, *m)?.mask_lanes()?),
-                    None => None,
-                };
-                match (&pv, &vv) {
-                    (RtVal::S(addr), RtVal::S(bits)) => {
-                        self.stats.scalar_stores += 1;
-                        self.mem.store_scalar(elem, *addr, *bits)?;
-                    }
-                    (RtVal::S(addr), RtVal::V(lanes)) => {
-                        self.stats.packed_stores += 1;
-                        let sz = elem.size_bytes();
-                        for (i, &b) in lanes.iter().enumerate() {
-                            if mk.as_ref().is_none_or(|m| m[i]) {
-                                self.mem.store_scalar(elem, addr + i as u64 * sz, b)?;
-                            }
-                        }
-                    }
-                    (RtVal::V(addrs), RtVal::V(lanes)) => {
-                        self.stats.scatters += 1;
-                        for (i, (&a, &b)) in addrs.iter().zip(lanes).enumerate() {
-                            if mk.as_ref().is_none_or(|m| m[i]) {
-                                self.mem.store_scalar(elem, a, b)?;
-                            }
-                        }
-                    }
-                    (RtVal::V(addrs), RtVal::S(bits)) => {
-                        // Scatter of a uniform value.
-                        self.stats.scatters += 1;
-                        for (i, &a) in addrs.iter().enumerate() {
-                            if mk.as_ref().is_none_or(|m| m[i]) {
-                                self.mem.store_scalar(elem, a, *bits)?;
-                            }
-                        }
-                    }
-                    _ => return Err(ExecError::Other("malformed store shapes".into())),
-                }
-                Ok(RtVal::Unit)
-            }
-            Inst::Alloca { size } => {
-                let sz = get(self, *size)?.scalar()?;
-                Ok(RtVal::S(self.mem.alloc(sz, 64)?))
-            }
-            Inst::Gep { base, index, scale } => {
-                let bv = get(self, *base)?;
-                let iv = get(self, *index)?;
-                let ity = f.value_ty(*index).elem().unwrap_or(ScalarTy::I64);
-                match (&bv, &iv) {
-                    (RtVal::S(b), RtVal::S(i)) => Ok(RtVal::S(
-                        b.wrapping_add((sext(ity, *i) as u64).wrapping_mul(*scale)),
-                    )),
-                    _ => {
-                        let lanes = ty.lanes();
-                        let bl = self.lanes_of_ref(&bv, lanes)?;
-                        let il = self.lanes_of_ref(&iv, lanes)?;
-                        Ok(RtVal::V(
-                            bl.iter()
-                                .zip(&il)
-                                .map(|(&b, &i)| {
-                                    b.wrapping_add((sext(ity, i) as u64).wrapping_mul(*scale))
-                                })
-                                .collect(),
-                        ))
-                    }
-                }
-            }
-            Inst::Call {
-                callee,
-                args: cargs,
-            } => {
-                self.stats.calls += 1;
-                let mut avs = Vec::with_capacity(cargs.len());
-                for &a in cargs {
-                    avs.push(get(self, a)?);
-                }
-                if let Some(callee_fn) = self.module.function(callee) {
-                    self.exec_reference(callee_fn, avs)
-                } else {
-                    self.charge_extern_dyn(f, callee, ty);
-                    self.externs.call(callee, &avs)
-                }
-            }
-            Inst::Intrin { kind, args: iargs } => match kind {
-                Intrinsic::Math(m) => {
-                    let elem = ty
-                        .elem()
-                        .ok_or_else(|| ExecError::Other("void math".into()))?;
-                    let mut avs = Vec::with_capacity(iargs.len());
-                    for &a in iargs {
-                        avs.push(get(self, a)?);
-                    }
-                    if ty.is_vec() {
-                        let lanes = ty.lanes();
-                        let cols: Result<Vec<Vec<u64>>, _> =
-                            avs.iter().map(|v| self.lanes_of_ref(v, lanes)).collect();
-                        let cols = cols?;
-                        let mut out = Vec::with_capacity(lanes as usize);
-                        for i in 0..lanes as usize {
-                            let row: Vec<u64> = cols.iter().map(|c| c[i]).collect();
-                            out.push(eval_math(*m, elem, &row)?);
-                        }
-                        Ok(RtVal::V(out))
-                    } else {
-                        let row: Result<Vec<u64>, _> = avs.iter().map(|v| v.scalar()).collect();
-                        Ok(RtVal::S(eval_math(*m, elem, &row?)?))
-                    }
-                }
-                Intrinsic::Fma => {
-                    let elem = ty
-                        .elem()
-                        .ok_or_else(|| ExecError::Other("void fma".into()))?;
-                    let a = get(self, iargs[0])?;
-                    let b = get(self, iargs[1])?;
-                    let c = get(self, iargs[2])?;
-                    let fma1 = |x: u64, y: u64, z: u64| -> Result<u64, ExecError> {
-                        let mul = if elem.is_float() {
-                            crate::inst::BinOp::FMul
-                        } else {
-                            crate::inst::BinOp::Mul
-                        };
-                        let add = if elem.is_float() {
-                            crate::inst::BinOp::FAdd
-                        } else {
-                            crate::inst::BinOp::Add
-                        };
-                        eval_bin(add, elem, eval_bin(mul, elem, x, y)?, z)
-                    };
-                    if ty.is_vec() {
-                        let n = ty.lanes();
-                        let (al, bl, cl) = (
-                            self.lanes_of_ref(&a, n)?,
-                            self.lanes_of_ref(&b, n)?,
-                            self.lanes_of_ref(&c, n)?,
-                        );
-                        let r: Result<Vec<u64>, _> =
-                            (0..n as usize).map(|i| fma1(al[i], bl[i], cl[i])).collect();
-                        Ok(RtVal::V(r?))
-                    } else {
-                        Ok(RtVal::S(fma1(a.scalar()?, b.scalar()?, c.scalar()?)?))
-                    }
-                }
-                other => Err(ExecError::SpmdIntrinsic(other.name())),
-            },
-            Inst::Phi { .. } => unreachable!("phis handled at block entry"),
-            Inst::Reduce { op, v, mask } => {
-                let src = f.value_ty(*v);
-                let elem = src
-                    .elem()
-                    .ok_or_else(|| ExecError::Other("void reduce".into()))?;
-                let lv = get(self, *v)?.vector()?.to_vec();
-                let mk = match mask {
-                    Some(m) => Some(get(self, *m)?.mask_lanes()?),
-                    None => None,
-                };
-                let mut acc = reduce_identity(*op, elem);
-                for (i, &x) in lv.iter().enumerate() {
-                    if mk.as_ref().is_none_or(|m| m[i]) {
-                        acc = reduce_step(*op, elem, acc, x);
-                    }
-                }
-                Ok(RtVal::S(acc))
-            }
-        }
-    }
-
-    /// Fast-engine instruction execution over dense frame slots, borrowed
-    /// operand views, and pooled lane buffers; `plan` supplies the static
-    /// call-site table (call kind and extern cost) and the pre-resolved
-    /// per-lane kernels.
-    #[allow(clippy::too_many_lines)]
-    fn exec_inst<S: ValueStore>(
+    fn exec_inst<S: ValueStore, P: InstResolver>(
         &mut self,
         f: &Function,
         frame: &S,
         args: &[RtVal],
         id: InstId,
-        plan: &FramePlan,
+        plan: &P,
     ) -> Result<RtVal, ExecError> {
         let inst = f.inst(id);
         let ty = f.inst_ty(id);
@@ -1409,7 +1064,7 @@ impl<'a> Interp<'a> {
                     .ok_or_else(|| ExecError::Other("void bin".into()))?;
                 let av = operand(f, frame, args, *a)?;
                 let bv = operand(f, frame, args, *b)?;
-                let kern = plan.kernels[id.0 as usize];
+                let kern = plan.kernel(id);
                 if ty.is_vec() {
                     let n = ty.lanes();
                     let al = Lanes::of(&av, n)?;
@@ -1433,7 +1088,7 @@ impl<'a> Interp<'a> {
                     .elem()
                     .ok_or_else(|| ExecError::Other("void un".into()))?;
                 let av = operand(f, frame, args, *a)?;
-                let kern = plan.kernels[id.0 as usize];
+                let kern = plan.kernel(id);
                 if ty.is_vec() {
                     let n = ty.lanes();
                     let al = Lanes::of(&av, n)?;
@@ -1458,7 +1113,7 @@ impl<'a> Interp<'a> {
                     .ok_or_else(|| ExecError::Other("void cmp".into()))?;
                 let av = operand(f, frame, args, *a)?;
                 let bv = operand(f, frame, args, *b)?;
-                let kern = plan.kernels[id.0 as usize];
+                let kern = plan.kernel(id);
                 if src.is_vec() {
                     let n = src.lanes();
                     let al = Lanes::of(&av, n)?;
@@ -1488,7 +1143,7 @@ impl<'a> Interp<'a> {
                     .elem()
                     .ok_or_else(|| ExecError::Other("void cast".into()))?;
                 let av = operand(f, frame, args, *a)?;
-                let kern = plan.kernels[id.0 as usize];
+                let kern = plan.kernel(id);
                 if ty.is_vec() {
                     let n = ty.lanes();
                     let al = Lanes::of(&av, n)?;
@@ -1727,9 +1382,7 @@ impl<'a> Interp<'a> {
                 for &a in cargs {
                     avs.push(operand(f, frame, args, a)?.into_owned());
                 }
-                // The call kind (and the extern cost) come statically
-                // from the plan.
-                match plan.calls[id.0 as usize] {
+                match plan.call_site(f, id, callee) {
                     CallSite::Extern { cost } => {
                         self.charge_extern(f, callee, cost);
                         self.externs.call(callee, &avs)
@@ -1891,6 +1544,127 @@ mod tests {
             results.push((r, it.cycles, it.stats, p.to_json().to_string_pretty()));
         }
         assert_eq!(results[0], results[1]);
+    }
+
+    /// Counts cost-model queries; instruction costs vary by id so a charge
+    /// against the wrong instruction changes the total.
+    #[derive(Default)]
+    struct CountingCost {
+        inst_queries: std::cell::Cell<u64>,
+        extern_queries: std::cell::Cell<u64>,
+    }
+
+    impl CostModel for CountingCost {
+        fn inst_cost(&self, _f: &Function, id: InstId) -> u64 {
+            self.inst_queries.set(self.inst_queries.get() + 1);
+            1 + u64::from(id.0 % 3)
+        }
+
+        fn extern_call_cost(&self, _name: &str, _ret: Ty) -> u64 {
+            self.extern_queries.set(self.extern_queries.get() + 1);
+            7
+        }
+    }
+
+    #[test]
+    fn reference_queries_costs_per_dynamic_step_and_fast_per_static_inst() -> Result<(), ExecError>
+    {
+        let m = sum_module();
+        let static_insts: usize = m
+            .functions()
+            .flat_map(|f| f.block_ids().map(|b| f.block(b).insts.len()))
+            .sum();
+
+        let fast_cost = CountingCost::default();
+        let mut fast = Interp::new(&m, Memory::default(), &fast_cost, &NoExterns);
+        let fast_r = fast.call("sum", &[RtVal::S(100)])?;
+        // The plan's cost table (default `inst_cost_full`) asks for the
+        // total and the classed cost once each per static instruction.
+        assert_eq!(fast_cost.inst_queries.get(), 2 * static_insts as u64);
+
+        let ref_cost = CountingCost::default();
+        let mut reference = Interp::new(&m, Memory::default(), &ref_cost, &NoExterns);
+        reference.set_engine(Engine::Reference);
+        let ref_r = reference.call("sum", &[RtVal::S(100)])?;
+        assert_eq!(ref_cost.inst_queries.get(), reference.steps());
+        assert!(reference.steps() > 10 * static_insts as u64);
+
+        assert_eq!(fast_r, ref_r);
+        assert_eq!(fast.cycles, reference.cycles);
+        assert_eq!(fast.stats, reference.stats);
+        Ok(())
+    }
+
+    /// Doubles its one scalar argument.
+    struct Twice;
+
+    impl ExternFns for Twice {
+        fn call(&self, name: &str, args: &[RtVal]) -> Result<RtVal, ExecError> {
+            match (name, args) {
+                ("twice", [RtVal::S(x)]) => Ok(RtVal::S(x.wrapping_mul(2))),
+                _ => Err(ExecError::UnknownFunction(name.to_string())),
+            }
+        }
+    }
+
+    /// `main(n)`: a loop of `n` iterations calling the module-local `inc`
+    /// and the extern `twice` on an accumulator.
+    fn calls_module() -> Module {
+        let i64t = Ty::scalar(ScalarTy::I64);
+        let mut m = Module::new();
+        let mut inc = FunctionBuilder::new("inc", vec![Param::new("x", i64t)], i64t);
+        let r = inc.bin(BinOp::Add, Value::Param(0), 1i64);
+        inc.ret(Some(r));
+        m.add_function(inc.finish());
+
+        let mut fb = FunctionBuilder::new("main", vec![Param::new("n", i64t)], i64t);
+        let header = fb.new_block("header");
+        let body = fb.new_block("body");
+        let exit = fb.new_block("exit");
+        let entry = fb.current_block();
+        fb.br(header);
+        fb.switch_to(header);
+        let i = fb.phi_typed(i64t, vec![(entry, c_i64(0))]);
+        let acc = fb.phi_typed(i64t, vec![(entry, c_i64(1))]);
+        let c = fb.cmp(CmpPred::Slt, i, Value::Param(0));
+        fb.cond_br(c, body, exit);
+        fb.switch_to(body);
+        let a1 = fb.call("inc", i64t, vec![acc]);
+        let a2 = fb.call("twice", i64t, vec![a1]);
+        let i2 = fb.bin(BinOp::Add, i, 1i64);
+        fb.phi_add_incoming(i, body, i2);
+        fb.phi_add_incoming(acc, body, a2);
+        fb.br(header);
+        fb.switch_to(exit);
+        fb.ret(Some(acc));
+        m.add_function(fb.finish());
+        m
+    }
+
+    #[test]
+    fn reference_resolves_local_and_extern_calls_like_the_plan() -> Result<(), ExecError> {
+        let m = calls_module();
+        let mut results = Vec::new();
+        for engine in Engine::ALL {
+            let cost = CountingCost::default();
+            let mut it = Interp::new(&m, Memory::default(), &cost, &Twice);
+            it.set_engine(engine);
+            it.enable_profiling();
+            let r = it.call("main", &[RtVal::S(5)])?;
+            let p = it.take_profile().map(|p| p.to_json().to_string_pretty());
+            // Reference resolves the extern's cost on each of its 5
+            // executions; the plan memoizes it once per static call site.
+            let expected_extern_queries = if engine == Engine::Reference { 5 } else { 1 };
+            assert_eq!(cost.extern_queries.get(), expected_extern_queries);
+            results.push((r, it.cycles, it.stats, p));
+        }
+        // acc: 1 → (acc + 1) * 2, five times.
+        assert_eq!(results[0].0, RtVal::S(94));
+        assert_eq!(results[0].2.calls, 10);
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[0], results[2]);
+        assert!(results[0].3.is_some());
+        Ok(())
     }
 
     #[test]

@@ -2,28 +2,34 @@
 //!
 //! The interpreter is this reproduction's stand-in for AVX-512 hardware:
 //! every Figure 4/5 cycle count comes from dynamically executing vector IR
-//! through it. Its original step loop paid three per-dynamic-instruction
-//! taxes that are really *static* properties of the function being run:
+//! through it. Executed step by step (as `Engine::Reference` does), every
+//! dynamic instruction pays for work that is really a *static* property of
+//! the function being run:
 //!
-//! 1. **Costing** — `CostModel::inst_cost` re-legalized the instruction
-//!    into micro-ops on every dynamic execution,
-//! 2. **φ scheduling** — every block entry re-scanned the instruction list
-//!    for φ nodes and linearly searched each φ's incoming list for the
-//!    edge taken,
-//! 3. **Value storage** — results lived in a `HashMap<InstId, RtVal>`
-//!    hashed on every operand read and result write.
+//! 1. **Costing** — `CostModel::inst_cost` legalizes the instruction into
+//!    micro-ops on every dynamic execution,
+//! 2. **φ scheduling** — every block entry scans the instruction list for
+//!    φ nodes and linearly searches each φ's incoming list for the edge
+//!    taken,
+//! 3. **Value storage** — results live in a `HashMap<InstId, RtVal>`
+//!    hashed on every operand read and result write,
+//! 4. **Dispatch** — each lane computation goes through the generic
+//!    opcode/element-type `eval_*` match, and each call re-resolves its
+//!    callee (and an extern's cost).
 //!
 //! A [`FramePlan`] is computed once per call target (and cached in the
 //! `Interp` across calls): it assigns every instruction a dense frame slot
 //! (`vals` becomes a `Vec<RtVal>` indexed by `InstId`), pre-splits each
 //! block into a φ schedule with per-predecessor resolved edge tables and a
 //! straight-line body, memoizes every instruction's total and classed cost
-//! (one `vmach::legalize` per *static* instruction), and pre-classifies
-//! call sites as module-local or extern with the extern call cost cached.
+//! (one `vmach::legalize` per *static* instruction), resolves infallible
+//! lane computations to monomorphized kernels, and pre-classifies call
+//! sites as module-local or extern with the extern call cost cached.
 //!
 //! The identity contract: executing through a plan charges exactly the
 //! cycles, records exactly the profile entries, and computes exactly the
-//! values of the retained reference path (`Engine::Reference`). `runbench
+//! values of the reference engine, which runs the same instruction
+//! executor but derives each of the four above per dynamic step. `runbench
 //! --check` and `crates/suite/tests/engine_differential.rs` gate on this.
 
 use super::eval::{bin_lane_fn, cast_lane_fn, cmp_lane_fn, un_lane_fn};

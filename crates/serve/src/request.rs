@@ -182,12 +182,13 @@ pub struct RunRequest {
     /// Fault-injection descriptor (empty = none), honored per-request.
     pub inject: String,
     /// Interpreter engine to execute on (default fast). Engines are
-    /// result-identical by contract, but the engine is still part of the
-    /// cache key so native and fast entries never share a warm path.
+    /// result-identical by contract, so the engine keys no cache: it picks
+    /// only the executor (and, through the request key, keeps each batch
+    /// on one engine).
     pub engine: Engine,
     /// Costing target the cycles are priced against (default
-    /// `x86-avx512`). Targets never change outputs, but cached cycles are
-    /// target-priced, so the target joins the cache key.
+    /// `x86-avx512`). Targets never change outputs, but plans carry
+    /// target-priced costs, so the target joins the plan-cache key.
     pub target: Target,
     /// Workload buffers, in parameter order.
     pub buffers: Vec<BufSpec>,
@@ -730,9 +731,11 @@ impl Response {
 
 /// Lowercase hex rendering of a byte buffer (the wire form of outputs).
 pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -740,6 +743,14 @@ pub fn hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hex_matches_format_for_every_byte() {
+        let all: Vec<u8> = (0..=255).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&all), expected);
+        assert_eq!(hex(&[]), "");
+    }
 
     #[test]
     fn run_request_round_trips() {

@@ -1,6 +1,8 @@
-//! Engine differential: the fast (`FramePlan`) engine, the retained
-//! reference engine, and the native tier (fused block kernels with
-//! bailout) must agree byte-for-byte on simulated cycles, checked
+//! Engine differential: the fast (`FramePlan`) engine, the reference
+//! engine (the same instruction executor with costs, φ edges, call kinds
+//! and lane computations derived per dynamic step instead of from the
+//! plan), and the native tier (fused block kernels with bailout) must
+//! agree byte-for-byte on simulated cycles, checked
 //! outputs, execution statistics, and profile JSON — across every suite
 //! kernel, across gang-size sweep variants, and on pipeline-degraded
 //! (fault-injected, scalar-fallback) modules. This is the identity
